@@ -1,8 +1,9 @@
-"""Smoke benchmark: the array-native sparsifier engine.
+"""Smoke benchmark: the production sparsifier path vs its scalar oracle.
 
 GDB and EMD on a ~10k-edge Forest-Fire sample of a Flickr-style
-topology (the paper's "Flickr reduced" construction), loop engine vs
-vector engine:
+topology (the paper's "Flickr reduced" construction), the production
+sweeps ("vector") against the one-edge-at-a-time references of
+``tests/oracles`` ("loop"):
 
 - **GDB sweeps** (the hot path of every fig04-08 grid point): a fixed
   number of ``k = 1`` coordinate-descent sweeps, color-blocked arrays
@@ -10,10 +11,11 @@ vector engine:
   default 3x) is timing-based and therefore core-count-aware — it skips
   itself on single-core machines; equality always gates via a separate
   run to the exact descent fixed point (``h = 1``), where the two
-  engines' converged objectives must agree within 1e-6.
+  converged objectives must agree within 1e-6.
 - **EMD**: the full Algorithm 3 with the vectorised E-phase candidate
-  scan + fused M-phase against the scalar reference.  Here the engines
-  are *bit-identical by construction*, so the equality gate is exact
+  scan + fused M-phase against the scalar reference (the facade run
+  under ``scalar_reference()``).  The two are *bit-identical by
+  construction*, so the equality gate is exact
   (``tol=0``) and always runs; the speedup floor is softer
   (``MIN_EMD_SPEEDUP``, default 1.2 — the E-phase is only part of EMD's
   cost).
@@ -27,12 +29,15 @@ vector engine:
   single-core).
 
 Results land under ``benchmarks/results/`` like the other benches.
+Run from the repository root (``python -m pytest
+benchmarks/bench_sparsifier_engine.py``) so ``tests.oracles`` imports.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -44,6 +49,7 @@ from repro.core.emd_sparsifier import _e_phase_lazy, _e_phase_vector
 from repro.datasets import flickr_like, forest_fire_sample
 from repro.experiments.common import ResultTable
 from repro.utils.heap import IndexedMaxHeap, LazyMaxHeap
+from tests.oracles import loop_refine, scalar_reference
 
 #: Acceptance floor for the color-blocked GDB sweep vs the scalar loop
 #: (measured ~8x single-core; CI overrides via
@@ -62,6 +68,9 @@ MIN_LAZY_SPEEDUP = float(
 
 ALPHA = 0.3
 N_SWEEPS = 10
+
+#: "loop" = the scalar oracle, "vector" = production ``gdb_refine``.
+REFINES = {"loop": loop_refine, "vector": gdb_refine}
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +94,13 @@ def seeded_state(graph, backbone_ids):
     return state
 
 
-def fixed_point_objective(graph, backbone_ids, engine):
+def fixed_point_objective(graph, backbone_ids, refine):
     """Converged D1 at ``h = 1``: chunked sweeps to the exact fixed point."""
     state = seeded_state(graph, backbone_ids)
     chunk = GDBConfig(h=1.0, tau=0.0, max_sweeps=200)
     previous = None
     for _ in range(10):
-        gdb_refine(state, chunk, engine=engine)
+        refine(state, chunk)
         current = state.d1()
         if current == previous:
             break
@@ -102,34 +111,34 @@ def fixed_point_objective(graph, backbone_ids, engine):
 def test_bench_gdb_sweep_engine(bench_graph, backbone, emit):
     timings = {}
     sweep_objectives = {}
-    for engine in ("loop", "vector"):
+    for name, refine in REFINES.items():
         state = seeded_state(bench_graph, backbone)
         config = GDBConfig(h=0.05, tau=0.0, max_sweeps=N_SWEEPS)
         start = time.perf_counter()
-        gdb_refine(state, config, engine=engine)
-        timings[engine] = time.perf_counter() - start
-        sweep_objectives[engine] = state.d1()
+        refine(state, config)
+        timings[name] = time.perf_counter() - start
+        sweep_objectives[name] = state.d1()
         state.verify()
 
-    # Equality always gates: both engines descend to the same fixed
-    # point of the h = 1 dynamics (within the loop-vs-vector contract).
+    # Equality always gates: both descend to the same fixed point of the
+    # h = 1 dynamics (within the oracle-vs-production contract).
     converged = {
-        engine: fixed_point_objective(bench_graph, backbone, engine)
-        for engine in ("loop", "vector")
+        name: fixed_point_objective(bench_graph, backbone, refine)
+        for name, refine in REFINES.items()
     }
     gap = abs(converged["loop"] - converged["vector"])
     assert gap <= 1e-6 * max(1.0, abs(converged["loop"])), (
-        f"engines converged {gap:.3e} apart"
+        f"oracle and production converged {gap:.3e} apart"
     )
 
     speedup = timings["loop"] / timings["vector"]
     table = ResultTable(
         title=(
-            f"GDB sweep engines — {N_SWEEPS} sweeps, "
+            f"GDB sweeps, production vs scalar oracle — {N_SWEEPS} sweeps, "
             f"{len(backbone)} backbone edges of {bench_graph.number_of_edges()} "
             f"(alpha={ALPHA:.0%}, h=0.05, k=1)"
         ),
-        headers=["engine", "seconds", "speedup", "D1 after sweeps"],
+        headers=["path", "seconds", "speedup", "D1 after sweeps"],
         notes=(
             f"converged objectives (h=1 fixed point) agree to {gap:.2e}; "
             f"gated <= 1e-6"
@@ -153,13 +162,13 @@ def test_bench_emd_engine(bench_graph, backbone, emit):
     config = EMDConfig()
     results = {}
     timings = {}
-    for engine in ("loop", "vector"):
+    for name in ("loop", "vector"):
         start = time.perf_counter()
-        results[engine] = emd(
-            bench_graph, backbone_ids=list(backbone), config=config,
-            engine=engine,
-        )
-        timings[engine] = time.perf_counter() - start
+        with scalar_reference() if name == "loop" else nullcontext():
+            results[name] = emd(
+                bench_graph, backbone_ids=list(backbone), config=config
+            )
+        timings[name] = time.perf_counter() - start
 
     # Bit-identity always gates: same edge set, exactly equal
     # probabilities.
@@ -168,10 +177,11 @@ def test_bench_emd_engine(bench_graph, backbone, emit):
     speedup = timings["loop"] / timings["vector"]
     table = ResultTable(
         title=(
-            f"EMD engines — full Algorithm 3, {len(backbone)} backbone edges "
+            f"EMD, production vs scalar oracle — full Algorithm 3, "
+            f"{len(backbone)} backbone edges "
             f"of {bench_graph.number_of_edges()} (alpha={ALPHA:.0%})"
         ),
-        headers=["engine", "seconds", "speedup"],
+        headers=["path", "seconds", "speedup"],
         notes="outputs bit-identical (gated, tol=0)",
     )
     table.add_row("loop", timings["loop"], 1.0)

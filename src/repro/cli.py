@@ -103,11 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entropy parameter h in [0, 1] (default 0.05)",
     )
     sparsify_cmd.add_argument(
-        "--engine", choices=["vector", "loop"], default="vector",
-        help="GDB/EMD sweep engine: the array-native engine (default) or "
-        "the scalar reference loop",
-    )
-    sparsify_cmd.add_argument(
         "--backbone-plan", action="store_true",
         help="build one BackbonePlan and reuse it across all alphas "
         "(one Kruskal pass for the whole ladder; outputs are "
@@ -241,10 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="backbone RNG seed (default 0; sharded runs require a seed)",
     )
     grid_cmd.add_argument(
-        "--engine", choices=["vector", "loop"], default="vector",
-        help="GDB sweep engine (default vector)",
-    )
-    grid_cmd.add_argument(
         "--relative", action="store_true",
         help="minimise relative instead of absolute discrepancy",
     )
@@ -297,10 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     drift_cmd.add_argument(
         "--h", type=float, default=0.05, dest="entropy_h",
         help="GDB entropy parameter (default 0.05)",
-    )
-    drift_cmd.add_argument(
-        "--engine", choices=["vector", "loop"], default="vector",
-        help="GDB sweep engine (default vector)",
     )
     drift_cmd.add_argument(
         "--compare-rebuild", action="store_true",
@@ -411,7 +398,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     for alpha in alphas:
         sparsified = sparsify(
             graph, alpha, variant=args.variant, rng=args.seed,
-            h=args.entropy_h, engine=args.engine, backbone_plan=plan,
+            h=args.entropy_h, backbone_plan=plan,
             lp_solver=args.lp_solver, emd_mode=args.emd_mode,
             backend=backend,
         )
@@ -593,7 +580,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     )
     maintainer = IncrementalSparsifier(
         graph.copy(), args.alpha, variant=args.variant, rng=args.seed,
-        h=args.entropy_h, engine=args.engine,
+        h=args.entropy_h,
     )
     print(
         f"{args.input}: |V|={graph.number_of_vertices()} "
@@ -619,7 +606,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             start = time.perf_counter()
             cold = _sparsify(
                 maintainer.graph, args.alpha, variant=args.variant,
-                rng=args.seed, h=args.entropy_h, engine=args.engine,
+                rng=args.seed, h=args.entropy_h,
             )
             rebuild_s = time.perf_counter() - start
             from repro.core import d1_objective
@@ -664,7 +651,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         relative=args.relative,
         backbone_method=args.backbone_method,
         rng=args.seed,
-        engine=args.engine,
         build_graphs=False,
         workers=workers,
         dataset=dataset_path if workers > 1 else None,

@@ -12,7 +12,6 @@ Public surface:
 
 from repro.core.backbone import (
     BackbonePlan,
-    backbone_as_list,
     bgi_backbone,
     bgi_backbone_legacy,
     build_backbone,
@@ -73,7 +72,6 @@ __all__ = [
     "UncertainGraph",
     "VariantSpec",
     "available_variants",
-    "backbone_as_list",
     "bgi_backbone",
     "bgi_backbone_legacy",
     "build_backbone",

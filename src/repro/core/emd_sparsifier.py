@@ -16,17 +16,15 @@ EMD alternates two phases until the degree objective
 The heap makes each E-phase ``O(alpha |E| log |V|)`` (section 4.3's
 complexity argument): an edge update touches exactly two vertices.
 
-Two engines execute the E-phase candidate scan: ``engine="loop"`` walks
-the candidates one scalar ``_best_probability`` / ``_gain`` pair at a
-time (the reference), while ``engine="vector"`` (default) scores every
-non-selected edge incident to the max-discrepancy vertex in one array
-computation — same candidate order, same tie-breaking, bit-identical
-selections.  The vector engine's M-phase runs GDB's fused sequential
-sweep (same edge order and arithmetic as the reference loop), so the
-whole of vector EMD reproduces loop EMD exactly, only faster.
+The E-phase candidate scan scores every non-selected edge incident to
+the max-discrepancy vertex in one array computation, with the candidate
+order and tie-breaking of the one-candidate-at-a-time scalar scan (kept
+as a test oracle in ``tests/oracles``), so selections are bit-identical
+to it.  The M-phase runs GDB's fused sequential sweep (same edge order
+and arithmetic as the scalar per-edge loop), so EMD as a whole
+reproduces the scalar reference algorithm exactly, only faster.
 
-Orthogonally, ``emd_mode`` picks the E-phase *outer-loop* heap
-discipline:
+The ``emd_mode`` argument picks the E-phase outer-loop heap discipline:
 
 - ``"eager"`` (default, the reference): every removal/insertion updates
   the endpoint keys of an :class:`~repro.utils.heap.IndexedMaxHeap` in
@@ -38,7 +36,7 @@ discipline:
   build is a single C ``heapify`` over the delta array instead of an
   O(n) Python dict.  The peeked vertex is still the exact
   max-discrepancy argmax; only *ties* may break differently (smallest
-  vertex id instead of heap order), so the lazy engine is gated on
+  vertex id instead of heap order), so the lazy mode is gated on
   converged-objective equivalence rather than bit identity.
 """
 
@@ -50,7 +48,7 @@ import numpy as np
 
 from repro.core.backbone import BackbonePlan
 from repro.core.discrepancy import SparsificationState
-from repro.core.gdb import GDBConfig, _resolve_backbone, _validate_engine, gdb_refine
+from repro.core.gdb import GDBConfig, _resolve_backbone, gdb_refine
 from repro.core.sweep import clamp_and_attenuate
 from repro.core.rules import (
     degree_step_absolute,
@@ -137,58 +135,6 @@ def _gain(state: SparsificationState, eid: int, probability: float) -> float:
     return du * du - (du - w) ** 2 + dv * dv - (dv - w) ** 2
 
 
-def _e_phase(state: SparsificationState, heap: IndexedMaxHeap,
-             config: EMDConfig) -> int:
-    """One pass of edge swapping (Algorithm 3, lines 8-20).
-
-    Returns the number of structural swaps (edges replaced by a
-    different edge); zero means the backbone has stabilised.
-    """
-    swaps = 0
-    for eid in [int(e) for e in state.selected_edge_ids()]:
-        u, v = state.endpoints(eid)
-        previous_p = state.deselect_edge(eid)
-        heap.update(u, abs(float(state.delta[u])))
-        heap.update(v, abs(float(state.delta[v])))
-
-        top_vertex, _ = heap.peek()
-        # Candidates: every unselected original edge at the top vertex.
-        # Line 17's arg max also includes the just-removed edge e, but
-        # that is scored separately below (as the incumbent), so it is
-        # skipped here.
-        incident = state.incident_edges(top_vertex)
-        candidates = [
-            int(candidate)
-            for candidate in incident[~state.selected[incident]]
-        ]
-
-        # The removed edge competes both at its rule-optimal probability
-        # and at the probability it already had (the entropy guard can
-        # cap the former below the latter; keeping the edge unchanged
-        # must never lose to a worse swap).
-        best_eid = eid
-        best_p = _best_probability(state, eid, config.h, config.relative)
-        best_gain = _gain(state, eid, best_p)
-        keep_gain = _gain(state, eid, previous_p)
-        if keep_gain > best_gain:
-            best_gain, best_p = keep_gain, previous_p
-        for candidate in candidates:
-            if candidate == eid:
-                continue
-            p = _best_probability(state, candidate, config.h, config.relative)
-            g = _gain(state, candidate, p)
-            if g > best_gain:
-                best_gain, best_eid, best_p = g, candidate, p
-
-        if best_eid != eid:
-            swaps += 1
-        state.select_edge(best_eid, probability=best_p)
-        bu, bv = state.endpoints(best_eid)
-        heap.update(bu, abs(float(state.delta[bu])))
-        heap.update(bv, abs(float(state.delta[bv])))
-    return swaps
-
-
 def _e_phase_vector(state: SparsificationState, heap: IndexedMaxHeap,
                     config: EMDConfig) -> int:
     """Edge swapping with the candidate scan as one array computation.
@@ -198,8 +144,8 @@ def _e_phase_vector(state: SparsificationState, heap: IndexedMaxHeap,
     clamp, entropy guard against the original probability (Eq. 9) and
     gain (Eq. 10) are elementwise mirrors of the scalar helpers, and
     ``argmax`` returns the *first* maximal gain — exactly the reference
-    loop's strict-improvement tie-breaking.  Selections are therefore
-    identical to :func:`_e_phase`, swap for swap.
+    scalar scan's strict-improvement tie-breaking.  Selections are
+    therefore identical to the scalar reference scan, swap for swap.
     """
     array_rule = (
         degree_step_relative_array if config.relative else degree_step_absolute_array
@@ -276,7 +222,7 @@ def _e_phase_lazy(state: SparsificationState, heap: LazyMaxHeap,
           = 2 w (delta_u + delta_v - w)
 
     Equal in exact arithmetic, different in float rounding — another
-    reason the lazy engine is gated on converged-objective equivalence
+    reason the lazy mode is gated on converged-objective equivalence
     rather than bit identity.  Candidate probabilities replicate
     ``clamp_and_attenuate`` element-for-element (with ``current = 0``:
     every candidate is unselected).
@@ -393,7 +339,6 @@ def emd(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
     emd_mode: str = "eager",
 ) -> UncertainGraph:
@@ -405,27 +350,21 @@ def emd(
     its E-phases, so it is less sensitive to the initial backbone than
     GDB (section 4.3).
 
-    ``engine="vector"`` (default) vectorises the E-phase candidate scan
-    and runs the M-phase on the fused sequential sweep; the result is
-    bit-identical to ``engine="loop"`` (the scalar reference).
+    The E-phase candidate scan is vectorised and the M-phase runs the
+    fused sequential sweep; the result is bit-identical to the scalar
+    reference algorithm.
 
-    ``emd_mode="lazy"`` (vector engine only) defers the per-swap heap
-    updates into batched vectorised rescans (see the module docstring);
-    it reaches the same converged objective as ``"eager"`` but is only
-    tie-equivalent, not bit-identical.
+    ``emd_mode="lazy"`` defers the per-swap heap updates into batched
+    vectorised rescans (see the module docstring); it reaches the same
+    converged objective as ``"eager"`` but is only tie-equivalent, not
+    bit-identical.
 
     Returns
     -------
     UncertainGraph
         Sparsified graph with the same edge budget as the backbone.
     """
-    engine = _validate_engine(engine)
     emd_mode = _validate_emd_mode(emd_mode)
-    if emd_mode == "lazy" and engine == "loop":
-        raise ValueError(
-            "emd_mode='lazy' requires the vector engine; "
-            "engine='loop' is the eager bit-identity reference"
-        )
     config = config or EMDConfig()
     backbone_ids = _resolve_backbone(
         graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
@@ -433,14 +372,6 @@ def emd(
 
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)
-
-    e_phase = _e_phase if engine == "loop" else _e_phase_vector
-    # The M-phase of the vector engine is the fused sequential sweep:
-    # same edge order and arithmetic as the loop engine (the colored
-    # sweep would converge to the same objective but along a different
-    # trajectory, and E-phase swaps are discrete decisions we keep
-    # engine-invariant).
-    m_engine = "loop" if engine == "loop" else "fused"
 
     gdb_config = GDBConfig(
         h=config.h,
@@ -463,14 +394,18 @@ def emd(
             heap = IndexedMaxHeap(
                 {v: abs(float(state.delta[v])) for v in range(state.n)}
             )
-            swaps = e_phase(state, heap, config)   # E-phase: swap edges
-        gdb_refine(state, gdb_config, engine=m_engine)  # M-phase: re-optimise
+            swaps = _e_phase_vector(state, heap, config)  # E-phase: swap edges
+        # M-phase: re-optimise.  Sequential, not color-blocked: the
+        # colored sweep would converge to the same objective along a
+        # different trajectory, and the E-phase swaps are discrete
+        # decisions that must match the reference algorithm's.
+        gdb_refine(state, gdb_config, sequential=True)
         new_objective = state.d1(relative=config.relative)
         converged = abs(objective - new_objective) <= config.tau
         objective = new_objective
         if swaps == 0 or converged:
             # Structure stabilised: finish with a fully-converged M-phase.
-            gdb_refine(state, final_gdb_config, engine=m_engine)
+            gdb_refine(state, final_gdb_config, sequential=True)
             break
 
     label = name or f"emd[{'R' if config.relative else 'A'}]({graph.name})"

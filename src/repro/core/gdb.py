@@ -13,14 +13,12 @@ is attenuated by the entropy parameter ``h in [0, 1]`` (Algorithm 2,
 line 10).  Sweeps repeat until the objective improves by less than
 ``tau``.
 
-Two sweep engines execute the descent (see :mod:`repro.core.sweep`):
-
-- ``engine="loop"`` — the scalar reference: one rule call and one state
-  update per edge, in edge-id order.
-- ``engine="vector"`` (default) — the array-native engine: color-blocked
-  vectorised sweeps for the endpoint-local ``k = 1`` rules, and the
-  fused sequential fast path (bit-identical to the reference loop) for
-  the globally-coupled ``k >= 2`` / ``k = "n"`` rules.
+The descent runs on the array-native sweeps of :mod:`repro.core.sweep`:
+color-blocked vectorised sweeps for the endpoint-local ``k = 1`` rules,
+and the fused sequential sweep (one rule step per edge in edge-id order,
+the arithmetic of the scalar per-edge loop) for the globally-coupled
+``k >= 2`` / ``k = "n"`` rules.  The scalar per-edge loop itself is kept
+as a test oracle (``tests/oracles``).
 
 The public entry point is :func:`gdb`; :func:`gdb_refine` runs the same
 loop in place on an existing :class:`SparsificationState` (EMD's M-phase
@@ -41,7 +39,6 @@ from repro.core.sweep import (
     DeviceSweep,
     SweepPlan,
     apply_probability_vector,
-    apply_scalar_step,
     build_sweep_plan,
     colored_sweep,
     fused_sweep,
@@ -50,26 +47,11 @@ from repro.core.sweep import (
 )
 from repro.core.uncertain_graph import UncertainGraph
 
-#: Public engines of the gdb/emd/sparsify facades; "fused" (the
-#: sequential fast path, same order and arithmetic as "loop") is an
-#: additional gdb_refine-only value used by EMD's M-phase.
-PUBLIC_ENGINES = ("vector", "loop")
-ENGINES = PUBLIC_ENGINES + ("fused",)
-
-
-def _validate_engine(engine: str, allowed: tuple = PUBLIC_ENGINES) -> str:
-    if engine not in allowed:
-        raise ValueError(
-            f"unknown sweep engine {engine!r}; expected one of {allowed}"
-        )
-    return engine
-
-
-def _colored_eligible(engine: str, k: "int | str", n: int) -> bool:
+def _colored_eligible(k: "int | str", n: int) -> bool:
     """Whether the color-blocked sweep applies: only the endpoint-local
-    ``k = 1`` rules under the vector engine (shared with the grid
-    driver so both build the same plan flavour)."""
-    return engine == "vector" and isinstance(k, int) and k == 1 and n > k
+    ``k = 1`` rules (shared with :func:`~repro.core.grid.gdb_grid` so
+    both build the same plan flavour)."""
+    return isinstance(k, int) and k == 1 and n > k
 
 
 @dataclass(frozen=True)
@@ -113,45 +95,45 @@ class GDBConfig:
 def gdb_refine(
     state: SparsificationState,
     config: GDBConfig,
-    engine: str = "vector",
     plan: "SweepPlan | None" = None,
     backend=None,
+    *,
+    sequential: bool = False,
 ) -> int:
     """Run GDB sweeps in place on ``state``; returns the sweep count.
 
     ``state`` must already have its backbone edges selected.  Only the
     probabilities of selected edges change; membership is untouched
-    (that is EMD's job).
+    (that is EMD's job).  ``k = 1`` runs color-blocked array sweeps,
+    ``k >= 2`` / ``"n"`` the fused sequential sweep.
 
     Parameters
     ----------
-    engine:
-        ``"vector"`` (default) — color-blocked array sweeps for ``k = 1``
-        and the fused sequential fast path otherwise; ``"loop"`` — the
-        scalar reference implementation; ``"fused"`` — force the fused
-        sequential path (what EMD's M-phase uses: same edge order and
-        bit-identical arithmetic as ``"loop"``).
     plan:
         Optional precomputed :class:`SweepPlan` for the currently
         selected edge set (the grid driver reuses one plan across an
-        entire ``h`` sweep).  Ignored by the ``"loop"`` engine.
+        entire ``h`` sweep).
     backend:
         Array backend (``None`` / ``"numpy"`` = the bit-identical host
-        engines above).  A non-reference backend runs the color-blocked
-        ``k = 1`` sweeps as device kernels (:class:`DeviceSweep`) under
-        the vector engine; the globally-coupled ``k >= 2`` / ``"n"``
-        rules and the ``loop``/``fused`` engines are inherently
-        sequential and stay host-side regardless.
+        sweeps).  A non-reference backend runs the color-blocked
+        ``k = 1`` sweeps as device kernels (:class:`DeviceSweep`); the
+        globally-coupled ``k >= 2`` / ``"n"`` rules and ``sequential``
+        sweeps are inherently sequential and stay host-side regardless.
+    sequential:
+        Run the fused sequential sweep for ``k = 1`` too: edge-id order
+        and the arithmetic of the scalar per-edge loop.  EMD's M-phase
+        uses it, so its E-phase swaps see the same probabilities as the
+        reference algorithm.
     """
-    engine = _validate_engine(engine, allowed=ENGINES)
     # Constructing the scalar rule also validates the (k, relative)
-    # combination for every engine.
+    # combination.
     rule = make_rule(config.k, config.relative, state.n)
     objective = state.d1(relative=config.relative)
     sweeps = 0
 
+    colored = not sequential and _colored_eligible(config.k, state.n)
     xp = resolve_backend(backend)
-    if not xp.is_reference and _colored_eligible(engine, config.k, state.n):
+    if not xp.is_reference and colored:
         if plan is None or (plan.n_colors == 0 and len(plan.eids)):
             plan = build_sweep_plan(state)
         device = DeviceSweep(state, plan, xp, config.relative, config.h)
@@ -165,20 +147,6 @@ def gdb_refine(
         device.download()
         return sweeps
 
-    if engine == "loop":
-        edge_ids = [int(e) for e in state.selected_edge_ids()]
-        for sweeps in range(1, config.max_sweeps + 1):
-            for eid in edge_ids:
-                step = rule(state, eid)
-                apply_scalar_step(state, eid, step, config.h)
-            new_objective = state.d1(relative=config.relative)
-            if abs(objective - new_objective) <= config.tau:
-                objective = new_objective
-                break
-            objective = new_objective
-        return sweeps
-
-    colored = _colored_eligible(engine, config.k, state.n)
     if plan is None:
         plan = build_sweep_plan(state, sequential_only=not colored)
     elif colored and plan.n_colors == 0 and len(plan.eids):
@@ -218,7 +186,6 @@ def gdb_refine_warm(
     state: SparsificationState,
     config: GDBConfig,
     dirty_vertices=None,
-    engine: str = "vector",
     plan: "SweepPlan | None" = None,
     backend=None,
     hops: int = 1,
@@ -261,17 +228,16 @@ def gdb_refine_warm(
 
     Falls back to plain :func:`gdb_refine` whenever the restriction
     cannot apply: no ``dirty_vertices``, a non-reference backend, or a
-    rule/engine combination outside the color-blocked ``k = 1`` path
-    (the globally-coupled rules touch every edge each sweep anyway).
+    rule outside the color-blocked ``k = 1`` path (the globally-coupled
+    rules touch every edge each sweep anyway).
     """
-    engine = _validate_engine(engine, allowed=ENGINES)
     xp = resolve_backend(backend)
     if (
         dirty_vertices is None
         or not xp.is_reference
-        or not _colored_eligible(engine, config.k, state.n)
+        or not _colored_eligible(config.k, state.n)
     ):
-        return gdb_refine(state, config, engine=engine, plan=plan, backend=backend)
+        return gdb_refine(state, config, plan=plan, backend=backend)
 
     dirty_vertices = np.asarray(dirty_vertices, dtype=np.int64)
     vmask = np.zeros(state.n, dtype=bool)
@@ -380,7 +346,6 @@ def gdb(
     backbone_method: str = "bgi",
     rng: "int | np.random.Generator | None" = None,
     name: str = "",
-    engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
     backend=None,
 ) -> UncertainGraph:
@@ -407,9 +372,6 @@ def gdb(
         Seed / generator for backbone construction.
     name:
         Name for the returned graph.
-    engine:
-        Sweep engine, ``"vector"`` (default) or ``"loop"`` (see
-        :func:`gdb_refine`).
     backbone_plan:
         Optional :class:`~repro.core.backbone.BackbonePlan` for
         ``graph``: the ``alpha`` path builds its backbone from the plan
@@ -424,13 +386,12 @@ def gdb(
     UncertainGraph
         Sparsified graph on the full vertex set with ``alpha |E|`` edges.
     """
-    engine = _validate_engine(engine)
     config = config or GDBConfig()
     backbone_ids = _resolve_backbone(
         graph, alpha, backbone_ids, backbone_method, rng, backbone_plan
     )
     state = SparsificationState(graph)
     state.select_edges(backbone_ids)
-    gdb_refine(state, config, engine=engine, backend=backend)
+    gdb_refine(state, config, backend=backend)
     label = name or f"gdb[{'R' if config.relative else 'A'},k={config.k}]({graph.name})"
     return state.build_graph(name=label)

@@ -38,7 +38,6 @@ from repro.core.discrepancy import SparsificationState
 from repro.core.gdb import (
     GDBConfig,
     _colored_eligible,
-    _validate_engine,
     gdb_refine,
     gdb_refine_warm,
 )
@@ -101,9 +100,6 @@ class IncrementalSparsifier:
     h / tau / max_sweeps:
         GDB entropy parameter, convergence threshold and sweep cap,
         shared by the initial build and every warm re-convergence.
-    engine:
-        Sweep engine (``"vector"`` enables the dirty-region restriction;
-        ``"loop"`` falls back to full reference sweeps).
     hops:
         Dirty-region growth radius for the warm sweeps (see
         :func:`~repro.core.gdb.gdb_refine_warm`).
@@ -130,7 +126,6 @@ class IncrementalSparsifier:
         h: float = 0.05,
         tau: float = 1e-9,
         max_sweeps: int = 200,
-        engine: str = "vector",
         hops: int = 1,
         backend=None,
         top_up: str = "stable",
@@ -153,7 +148,6 @@ class IncrementalSparsifier:
         self.seed = int(rng)
         self.config = GDBConfig(h=h, tau=tau, max_sweeps=max_sweeps,
                                 k=spec.k, relative=spec.relative)
-        self.engine = _validate_engine(engine)
         self.hops = int(hops)
         self.backend = backend
         self.backbone_method = "bgi" if spec.bgi_backbone else "random"
@@ -172,14 +166,14 @@ class IncrementalSparsifier:
         self.state.select_edges(ids)
         self._sweep_plan = None
         self._keep_plan = (
-            _colored_eligible(self.engine, self.config.k, self.state.n)
+            _colored_eligible(self.config.k, self.state.n)
             and resolve_backend(backend).is_reference
         )
         if self._keep_plan:
             self._sweep_plan = build_sweep_plan(self.state)
         self.sweeps = gdb_refine(
-            self.state, self.config, engine=self.engine,
-            plan=self._sweep_plan, backend=self.backend,
+            self.state, self.config, plan=self._sweep_plan,
+            backend=self.backend,
         )
         self.batches_applied = 0
 
@@ -213,8 +207,7 @@ class IncrementalSparsifier:
         self._refresh_sweep_plan(applied, removed, added)
         sweeps = gdb_refine_warm(
             self.state, self.config, dirty_vertices=dirty,
-            engine=self.engine, plan=self._sweep_plan,
-            backend=self.backend, hops=self.hops,
+            plan=self._sweep_plan, backend=self.backend, hops=self.hops,
         )
         self.sweeps += sweeps
         self.batches_applied += 1

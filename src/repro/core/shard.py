@@ -136,7 +136,7 @@ def _worker_row(alpha_index: int):
     )
     state.select_edges(backbone)
     seeded = state.snapshot()
-    colored = _colored_eligible(config["engine"], config["k"], state.n)
+    colored = _colored_eligible(config["k"], state.n)
     plan = build_sweep_plan(state, sequential_only=not colored)
     row = (backbone, seeded, plan)
     _GRID_WORKER["rows"][alpha_index] = row
@@ -167,9 +167,7 @@ def _cells_for_shard(shard_key: tuple) -> tuple:
             k=config["k"],
             relative=config["relative"],
         )
-        sweeps = gdb_refine(
-            state, gdb_config, engine=config["engine"], plan=plan
-        )
+        sweeps = gdb_refine(state, gdb_config, plan=plan)
         objective = float(state.d1(relative=config["relative"]))
         rows.append((h_index, objective, sweeps))
     return alpha_index, backbone, rows
@@ -222,7 +220,6 @@ def sharded_gdb_grid(
     max_sweeps: int = 200,
     backbone_method: str = "bgi",
     rng: "int | None" = None,
-    engine: str = "vector",
     dataset=None,
     h_block: "int | None" = None,
 ) -> dict:
@@ -237,9 +234,6 @@ def sharded_gdb_grid(
 
     Callers normally reach this through ``gdb_grid(..., workers=N)``.
     """
-    from repro.core.gdb import _validate_engine
-
-    engine = _validate_engine(engine)
     alphas = [float(a) for a in alphas]
     h_values = [float(h) for h in h_values]
     if rng is not None and not isinstance(rng, (int, np.integer)):
@@ -263,7 +257,6 @@ def sharded_gdb_grid(
         "max_sweeps": max_sweeps,
         "backbone_method": backbone_method,
         "seed": None if rng is None else int(rng),
-        "engine": engine,
     }
 
     shard_rows = _run_shards(graph, config, shards, workers, dataset)

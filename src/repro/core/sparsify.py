@@ -36,7 +36,6 @@ from repro.core.emd_sparsifier import EMDConfig, emd
 from repro.core.gdb import (
     GDBConfig,
     _resolve_backbone,
-    _validate_engine,
     gdb,
     gdb_refine_warm,
 )
@@ -118,7 +117,6 @@ def sparsify(
     h: float = 0.05,
     tau: float = 1e-9,
     name: str = "",
-    engine: str = "vector",
     backbone_plan: "BackbonePlan | None" = None,
     backbone: "np.ndarray | list[int] | None" = None,
     lp_solver: str = "highs",
@@ -147,10 +145,6 @@ def sparsify(
         Convergence threshold for GDB/EMD.
     name:
         Optional name for the output graph.
-    engine:
-        Sweep/scan engine for GDB/EMD: ``"vector"`` (default, the
-        array-native engine) or ``"loop"`` (the scalar reference).  The
-        LP and benchmark methods have no iterative core and ignore it.
     backbone_plan:
         Optional :class:`~repro.core.backbone.BackbonePlan` for
         ``graph``: GDB/EMD/LP variants build their backbone from the
@@ -194,7 +188,6 @@ def sparsify(
     """
     from repro.backend import resolve_backend
 
-    _validate_engine(engine)
     spec = parse_variant(variant)
     xp = resolve_backend(backend)
     if not xp.is_reference and spec.method != "gdb":
@@ -252,23 +245,21 @@ def sparsify(
             state.select_edges(added)
         diff = np.concatenate([removed, added])
         dirty = np.unique(state.edge_vertices[diff].ravel())
-        gdb_refine_warm(
-            state, config, dirty_vertices=dirty, engine=engine, backend=xp
-        )
+        gdb_refine_warm(state, config, dirty_vertices=dirty, backend=xp)
         return state.build_graph(name=label)
 
     if spec.method == "gdb":
         config = GDBConfig(h=h, tau=tau, k=spec.k, relative=spec.relative)
         return gdb(graph, config=config,
                    backbone_method=backbone_method, rng=rng, name=label,
-                   engine=engine, backend=xp, **seed_kwargs)
+                   backend=xp, **seed_kwargs)
     if spec.method == "emd":
         if spec.k != 1:
             raise ValueError("EMD is defined for k = 1 only (paper section 5)")
         config = EMDConfig(h=h, tau=tau, relative=spec.relative)
         return emd(graph, config=config,
                    backbone_method=backbone_method, rng=rng, name=label,
-                   engine=engine, emd_mode=emd_mode, **seed_kwargs)
+                   emd_mode=emd_mode, **seed_kwargs)
     if spec.method == "lp":
         return lp_sparsify(graph, backbone_method=backbone_method, rng=rng,
                            name=label, solver=lp_solver, **seed_kwargs)

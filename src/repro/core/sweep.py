@@ -1,9 +1,10 @@
 """Color-blocked and fused sweep engines for the iterative sparsifiers.
 
-The scalar reference loop of GDB (:mod:`repro.core.gdb`) performs cyclic
-coordinate descent: one closed-form rule step per edge, applied
-immediately.  This module provides two faster, equivalent executions of
-the same sweep:
+GDB (:mod:`repro.core.gdb`) performs cyclic coordinate descent: one
+closed-form rule step per edge, applied immediately.  The scalar
+per-edge loop that does this literally is kept as a test oracle
+(``tests/oracles``); this module provides the two faster, equivalent
+executions of the same sweep that production runs:
 
 - **Color-blocked** (``k = 1`` rules only): the backbone is greedily
   edge-colored once; edges of one color share no endpoint, and the
@@ -22,12 +23,13 @@ the same sweep:
   per-edge method-call and numpy scalar-indexing overhead.  Rules with a
   global residual term (``k >= 2`` and ``k = "n"``) couple every edge
   through ``total_residual``, so color classes are *not* independent for
-  them; the vector engine runs this path instead.
+  them; ``gdb_refine`` runs this path instead, and EMD's M-phase runs
+  it for ``k = 1`` as well (``gdb_refine(..., sequential=True)``).
 
-Both engines descend the same objective; the ``k = 1`` color-blocked
+Both executions descend the same objective; the ``k = 1`` color-blocked
 order differs from the reference loop's, but coordinate descent on the
 convex ``D_1`` objective reaches the same converged value (the
-loop-vs-vector contract pinned by ``tests/test_sweep.py``).
+oracle-vs-production contract pinned by ``tests/test_sweep.py``).
 
 A third execution, :class:`DeviceSweep`, lifts the color-blocked ``k = 1``
 path onto an ``xp`` array backend (:mod:`repro.backend`): state uploads

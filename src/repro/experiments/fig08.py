@@ -27,7 +27,7 @@ from repro.metrics import relative_entropy
 
 def entropy_vs_alpha(
     graph: UncertainGraph, scale: ExperimentScale, seed: int = 31,
-    engine: str = "vector", lp_solver: str = "highs", emd_mode: str = "eager",
+    lp_solver: str = "highs", emd_mode: str = "eager",
 ) -> ResultTable:
     """Relative entropy per method per alpha for one dataset."""
     table = ResultTable(
@@ -39,7 +39,7 @@ def entropy_vs_alpha(
         row: list = [method]
         for alpha in scale.alphas:
             sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed, engine=engine,
+                graph, alpha, variant=method, rng=seed,
                 backbone_plan=plan_for_variant(plan, method),
                 lp_solver=lp_solver, emd_mode=emd_mode,
             )
@@ -50,7 +50,7 @@ def entropy_vs_alpha(
 
 def entropy_vs_density(
     scale: ExperimentScale, alpha: float = 0.16, seed: int = 31,
-    engine: str = "vector", lp_solver: str = "highs", emd_mode: str = "eager",
+    lp_solver: str = "highs", emd_mode: str = "eager",
 ) -> ResultTable:
     """Relative entropy per method per density (Fig. 8c)."""
     graphs = make_density_sweep(scale, seed=seed)
@@ -64,7 +64,7 @@ def entropy_vs_density(
         row: list = [method]
         for density, graph in graphs.items():
             sparsified = sparsify(
-                graph, alpha, variant=method, rng=seed, engine=engine,
+                graph, alpha, variant=method, rng=seed,
                 backbone_plan=plan_for_variant(plans[density], method),
                 lp_solver=lp_solver, emd_mode=emd_mode,
             )
@@ -74,21 +74,21 @@ def entropy_vs_density(
 
 
 def run_fig08(
-    scale: ExperimentScale = SMALL, seed: int = 31, engine: str = "vector",
+    scale: ExperimentScale = SMALL, seed: int = 31,
     lp_solver: str = "highs", emd_mode: str = "eager",
 ) -> dict[str, ResultTable]:
     """All three panels keyed 'flickr' / 'twitter' / 'density'."""
     return {
         "flickr": entropy_vs_alpha(
-            make_flickr_proxy(scale), scale, seed=seed, engine=engine,
+            make_flickr_proxy(scale), scale, seed=seed,
             lp_solver=lp_solver, emd_mode=emd_mode,
         ),
         "twitter": entropy_vs_alpha(
-            make_twitter_proxy(scale), scale, seed=seed, engine=engine,
+            make_twitter_proxy(scale), scale, seed=seed,
             lp_solver=lp_solver, emd_mode=emd_mode,
         ),
         "density": entropy_vs_density(
-            scale, seed=seed, engine=engine,
+            scale, seed=seed,
             lp_solver=lp_solver, emd_mode=emd_mode,
         ),
     }

@@ -6,9 +6,11 @@ control).  Endpoints:
 
 ``POST /sparsify``
     ``{"dataset": path, "alpha": 0.3, "variant": "EMD^R-t", "seed": 0,
-    "h": 0.05, "engine": "vector", "lp_solver": "highs",
-    "emd_mode": "eager", "priority": 20}`` → the sparsified edge list
-    (``artifact`` field) plus metadata.
+    "h": 0.05, "lp_solver": "highs", "emd_mode": "eager",
+    "priority": 20}`` → the sparsified edge list (``artifact`` field)
+    plus metadata.  ``lp_solver`` (``"highs"`` / ``"pdp"``) only
+    changes LP variants and ``emd_mode`` (``"eager"`` / ``"lazy"``)
+    only EMD variants; both are validated on every request.
 ``POST /estimate``
     ``{"dataset": path, "query": "reliability", "samples": 200,
     "pairs": 50, "weighted": false, "seed": 0}`` → scalar estimate +
@@ -16,6 +18,9 @@ control).  Endpoints:
 ``POST /grid``
     ``{"dataset": path, "alphas": [...], "h_values": [...], "k": 1,
     "relative": false, "seed": 0}`` → converged objectives per cell.
+
+Boolean fields (``weighted``, ``relative``) accept only JSON ``true`` /
+``false``; an unknown field is a 400.
 ``POST /update``
     ``{"dataset": path, "updates": [[u, v, p], ...],
     "inserts": [[u, v, p], ...], "deletes": [[u, v], ...],

@@ -14,8 +14,8 @@ manager, so no process pool outlives a completed job batch.
 Determinism contract: artifacts are canonical JSON (sorted keys) whose
 payload is a pure function of ``(dataset digest, endpoint params,
 seed)`` — the compute layers underneath are bit-identical under a fixed
-seed regardless of engine parallelism, so a cache hit is byte-identical
-to recomputation and the cache key can ignore ``mc_workers``.
+seed regardless of parallelism, so a cache hit is byte-identical to
+recomputation and the cache key can ignore ``mc_workers``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 from repro.core.backbone import BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
+from repro.core.emd_sparsifier import EMD_MODES
 from repro.core.grid import gdb_grid, objective_rows
+from repro.core.lp import LP_SOLVERS
 from repro.core.sparsify import parse_variant, sparsify
 from repro.datasets.io import (
     content_digest,
@@ -51,6 +53,28 @@ REFRESH_PRIORITY = 60
 _ESTIMATE_QUERIES = (
     "reliability", "distance", "pagerank", "clustering", "connectivity"
 )
+
+
+def _choice(params: dict, name: str, choices: tuple, default: str) -> str:
+    """Pop an enumerated string parameter, rejecting unknown values."""
+    value = params.pop(name, default)
+    if value not in choices:
+        raise ServerError(
+            f"{name} must be one of {list(choices)}, got {value!r}"
+        )
+    return value
+
+
+def _flag(params: dict, name: str, default: bool) -> bool:
+    """Pop a boolean parameter: only JSON ``true`` / ``false`` pass.
+
+    ``bool("false")`` is ``True``, so coercing would silently turn a
+    malformed request into the opposite computation.
+    """
+    value = params.pop(name, default)
+    if not isinstance(value, bool):
+        raise ServerError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _normalise_backend(params: dict) -> str:
@@ -199,7 +223,10 @@ class SparsifierService:
         """Canonicalise request params (also the cache-key material).
 
         Every field is defaulted and type-coerced here so two requests
-        meaning the same computation produce identical keys.
+        meaning the same computation produce identical keys: a
+        variant-specific knob (``lp_solver`` for LP, ``emd_mode`` for
+        EMD) is validated on every request but keyed only for the
+        variants it changes.
         """
         if not isinstance(params, dict):
             raise ServerError("request body must be a JSON object")
@@ -221,12 +248,15 @@ class SparsifierService:
                 alpha=float(params.pop("alpha")),
                 variant=str(params.pop("variant", "EMD^R-t")),
                 h=float(params.pop("h", 0.05)),
-                engine=str(params.pop("engine", "vector")),
-                lp_solver=str(params.pop("lp_solver", "highs")),
-                emd_mode=str(params.pop("emd_mode", "eager")),
                 backend=_normalise_backend(params),
             )
             spec = parse_variant(norm["variant"])  # fail fast on bad notation
+            lp_solver = _choice(params, "lp_solver", LP_SOLVERS, "highs")
+            emd_mode = _choice(params, "emd_mode", EMD_MODES, "eager")
+            if spec.method == "lp":
+                norm["lp_solver"] = lp_solver
+            if spec.method == "emd":
+                norm["emd_mode"] = emd_mode
             if norm["backend"] != "numpy" and spec.method != "gdb":
                 raise ServerError(
                     f"backend {norm['backend']!r} only applies to GDB "
@@ -239,7 +269,7 @@ class SparsifierService:
                 query=str(params.pop("query", "reliability")),
                 samples=int(params.pop("samples", 200)),
                 pairs=int(params.pop("pairs", 50)),
-                weighted=bool(params.pop("weighted", False)),
+                weighted=_flag(params, "weighted", False),
                 backend=_normalise_backend(params),
             )
             if norm["query"] not in _ESTIMATE_QUERIES:
@@ -267,9 +297,8 @@ class SparsifierService:
                 alphas=alphas,
                 h_values=h_values,
                 k=k_raw if k_raw == "n" else int(k_raw),
-                relative=bool(params.pop("relative", False)),
+                relative=_flag(params, "relative", False),
                 backbone_method=str(params.pop("backbone_method", "bgi")),
-                engine=str(params.pop("engine", "vector")),
                 backend=_normalise_backend(params),
             )
         if params:
@@ -480,10 +509,9 @@ class SparsifierService:
             variant=norm["variant"],
             rng=norm["seed"],
             h=norm["h"],
-            engine=norm["engine"],
             backbone_plan=plan,
-            lp_solver=norm["lp_solver"],
-            emd_mode=norm["emd_mode"],
+            lp_solver=norm.get("lp_solver", "highs"),
+            emd_mode=norm.get("emd_mode", "eager"),
             backend=norm["backend"],
         )
         return canonical_body({
@@ -557,7 +585,6 @@ class SparsifierService:
             relative=norm["relative"],
             backbone_method=norm["backbone_method"],
             rng=norm["seed"],
-            engine=norm["engine"],
             build_graphs=False,
             backbone_plan=self._plan_for(entry),
             backend=norm["backend"],

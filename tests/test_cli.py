@@ -5,6 +5,8 @@ import pytest
 from repro.cli import main
 from repro.datasets import read_edge_list, twitter_like, write_edge_list
 
+from oracles import scalar_reference
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -31,17 +33,15 @@ def test_sparsify_default_variant(graph_file, tmp_path):
     assert main(["sparsify", str(graph_file), str(out), "--alpha", "0.3"]) == 0
 
 
-def test_sparsify_engine_flag(graph_file, tmp_path):
+def test_sparsify_matches_scalar_reference(graph_file, tmp_path):
     loop_out = tmp_path / "loop.txt"
     vector_out = tmp_path / "vector.txt"
-    for engine, path in (("loop", loop_out), ("vector", vector_out)):
-        code = main([
-            "sparsify", str(graph_file), str(path),
-            "--alpha", "0.4", "--variant", "EMD^A", "--seed", "0",
-            "--engine", engine,
-        ])
-        assert code == 0
-    # EMD's engines are bit-identical, so the files describe one graph.
+    argv = ["--alpha", "0.4", "--variant", "EMD^A", "--seed", "0"]
+    with scalar_reference():
+        assert main(["sparsify", str(graph_file), str(loop_out)] + argv) == 0
+    assert main(["sparsify", str(graph_file), str(vector_out)] + argv) == 0
+    # EMD is bit-identical to its scalar oracle, so the files describe
+    # one graph.
     assert read_edge_list(loop_out).isomorphic_probabilities(
         read_edge_list(vector_out)
     )

@@ -375,8 +375,7 @@ class TestIncrementalSparsifier:
             cold = SparsificationState(maintainer.graph)
             cold.select_edges(ids)
             sweeps = gdb_refine(
-                cold, maintainer.config, engine="vector",
-                plan=build_sweep_plan(cold),
+                cold, maintainer.config, plan=build_sweep_plan(cold)
             )
             assert sweeps < maintainer.config.max_sweeps
             assert np.array_equal(maintainer.state.selected, cold.selected)

@@ -7,6 +7,8 @@ from repro.core import EMDConfig, GDBConfig, emd, gdb, graph_entropy
 from repro.core.backbone import bgi_backbone, random_backbone, target_edge_count
 from repro.metrics import degree_discrepancy_mae
 
+from oracles import scalar_reference
+
 
 class TestConfig:
     @pytest.mark.parametrize("h", [-0.01, 1.01])
@@ -99,12 +101,13 @@ class TestQuality:
 
 
 class TestEngines:
-    """Vector EMD = vectorised E-phase scan + fused M-phase.
+    """Production EMD = vectorised E-phase scan + fused M-phase.
 
-    The candidate scan preserves the loop's candidate order and strict
-    tie-breaking, and the fused M-phase is bit-identical to the loop's,
-    so the two engines must agree swap for swap: same edge set, same
-    probabilities (exact), for every config variant and backbone.
+    The candidate scan preserves the scalar oracle's candidate order and
+    strict tie-breaking, and the fused M-phase is bit-identical to the
+    oracle's per-edge loop, so the two must agree swap for swap: same
+    edge set, same probabilities (exact), for every config variant and
+    backbone.
     """
 
     @pytest.mark.parametrize("relative", [False, True])
@@ -114,10 +117,9 @@ class TestEngines:
         for graph in (small_power_law, small_sparse):
             ids = backbone_fn(graph, 0.3, rng=11)
             config = EMDConfig(relative=relative)
-            loop = emd(graph, backbone_ids=list(ids), config=config,
-                       engine="loop")
-            vector = emd(graph, backbone_ids=list(ids), config=config,
-                         engine="vector")
+            with scalar_reference():
+                loop = emd(graph, backbone_ids=list(ids), config=config)
+            vector = emd(graph, backbone_ids=list(ids), config=config)
             assert {frozenset(e[:2]) for e in loop.edges()} == (
                 {frozenset(e[:2]) for e in vector.edges()}
             )
@@ -125,24 +127,19 @@ class TestEngines:
 
     def test_engines_same_objective(self, small_power_law):
         ids = bgi_backbone(small_power_law, 0.4, rng=2)
-        loop = emd(small_power_law, backbone_ids=list(ids), engine="loop")
-        vector = emd(small_power_law, backbone_ids=list(ids), engine="vector")
+        with scalar_reference():
+            loop = emd(small_power_law, backbone_ids=list(ids))
+        vector = emd(small_power_law, backbone_ids=list(ids))
         assert degree_discrepancy_mae(small_power_law, vector) == (
             pytest.approx(degree_discrepancy_mae(small_power_law, loop),
                           rel=1e-12, abs=1e-15)
         )
 
-    def test_vector_is_default(self, small_power_law):
-        ids = bgi_backbone(small_power_law, 0.3, rng=5)
-        default = emd(small_power_law, backbone_ids=list(ids))
-        explicit = emd(small_power_law, backbone_ids=list(ids), engine="vector")
-        assert default.isomorphic_probabilities(explicit, tol=0.0)
-
     def test_invalid_engine_rejected(self, small_power_law):
-        with pytest.raises(ValueError):
+        # One E-phase scan and one M-phase: EMD takes no engine at all.
+        with pytest.raises(TypeError):
             emd(small_power_law, alpha=0.3, rng=0, engine="turbo")
 
     def test_fused_not_a_public_engine(self, small_power_law):
-        # "fused" is the gdb_refine-internal M-phase path only.
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             emd(small_power_law, alpha=0.3, rng=0, engine="fused")

@@ -26,6 +26,8 @@ from repro.experiments import (
     run_sample_budget,
 )
 
+from oracles import scalar_reference
+
 MICRO = ExperimentScale(
     name="micro",
     flickr_n=40, flickr_avg_degree=30, twitter_n=40, twitter_avg_degree=26,
@@ -53,17 +55,20 @@ def test_fig04(capsys):
 
 
 def test_fig04_loop_engine():
-    assert_table_ok(run_fig04a(MICRO, engine="loop"))
+    """fig04a on the scalar oracle still yields a well-formed table."""
+    with scalar_reference():
+        assert_table_ok(run_fig04a(MICRO))
 
 
 def test_fig05_engines_agree():
-    """fig05 rides the grid driver; the loop engine stays selectable and
-    both engines yield the same table shapes (EMD-free sweep: GDB-only,
-    so values agree within the loop-vs-vector contract tolerances)."""
+    """fig05 rides ``gdb_grid``; production and the scalar oracle
+    yield the same table shapes (EMD-free sweep: GDB-only, so values
+    agree within the oracle-vs-production contract tolerances)."""
     from repro.experiments import run_fig05
 
     vector_mae, vector_entropy = run_fig05(MICRO, h_values=(0.0, 1.0))
-    loop_mae, loop_entropy = run_fig05(MICRO, h_values=(0.0, 1.0), engine="loop")
+    with scalar_reference():
+        loop_mae, loop_entropy = run_fig05(MICRO, h_values=(0.0, 1.0))
     for table in (vector_mae, vector_entropy, loop_mae, loop_entropy):
         assert_table_ok(table, rows=2)
     for vector_table, loop_table in (

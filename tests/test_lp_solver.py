@@ -10,6 +10,8 @@ Three equivalence contracts introduced by the solver-grade layer:
   memoises its peel structure on a shared :class:`BackbonePlan`.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,8 @@ from repro.core.lp import (
     solve_pdp,
 )
 from repro.datasets import erdos_renyi_uncertain, figure1_graph, flickr_like
+
+from oracles import scalar_reference
 
 #: The pdp default relative duality-gap tolerance (see repro.core.lp).
 PDP_TOL = 1e-3
@@ -230,15 +234,18 @@ def test_min_probability_validated(small_power_law, bad):
 def test_lazy_emd_matches_eager_converged_d1(
     backbone_method, relative, eager_engine
 ):
+    """Lazy EMD against eager EMD, run in production ("vector") or on
+    the scalar oracle ("loop")."""
     graph = flickr_like(n=80, avg_degree=14, seed=9)
     config = EMDConfig(relative=relative)
-    eager = emd(
-        graph, alpha=0.35, config=config, backbone_method=backbone_method,
-        rng=11, engine=eager_engine, emd_mode="eager",
-    )
+    with scalar_reference() if eager_engine == "loop" else nullcontext():
+        eager = emd(
+            graph, alpha=0.35, config=config, backbone_method=backbone_method,
+            rng=11, emd_mode="eager",
+        )
     lazy = emd(
         graph, alpha=0.35, config=config, backbone_method=backbone_method,
-        rng=11, engine="vector", emd_mode="lazy",
+        rng=11, emd_mode="lazy",
     )
     assert lazy.number_of_edges() == eager.number_of_edges()
     d1_eager = delta_1(graph, eager, relative=relative)
@@ -259,12 +266,6 @@ def test_lazy_emd_through_sparsify_facade(small_power_law):
     assert abs(d1_lazy - d1_eager) <= 1e-6 * max(1.0, d1_eager)
     for _, _, p in lazy.edges():
         assert 0.0 < p <= 1.0
-
-
-def test_lazy_mode_rejects_loop_engine(small_power_law):
-    with pytest.raises(ValueError, match="vector engine"):
-        emd(small_power_law, alpha=0.3, rng=0, engine="loop",
-            emd_mode="lazy")
 
 
 def test_unknown_emd_mode_rejected(small_power_law):

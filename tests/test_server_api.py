@@ -310,6 +310,52 @@ class TestHTTPSurface:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
 
+    def test_variant_irrelevant_knobs_share_the_cache_key(self, server,
+                                                          dataset):
+        # lp_solver only changes LP variants and emd_mode only EMD ones,
+        # so a GDB request naming them is the same computation.
+        base = {"dataset": dataset, "alpha": 0.35, "variant": "GDB^A-t",
+                "seed": 0}
+        _, cache1, body1 = self._post(
+            server, "/sparsify",
+            {**base, "emd_mode": "lazy", "lp_solver": "pdp"},
+        )
+        _, cache2, body2 = self._post(server, "/sparsify", base)
+        assert (cache1, cache2) == ("miss", "hit")
+        assert body1 == body2
+        # Where the knob does change the computation it stays keyed.
+        lp = {**base, "variant": "LP-t"}
+        _, cache3, _ = self._post(server, "/sparsify", lp)
+        _, cache4, _ = self._post(server, "/sparsify",
+                                  {**lp, "lp_solver": "pdp"})
+        assert (cache3, cache4) == ("miss", "miss")
+
+    def test_bad_knobs_rejected_before_queueing(self, server, dataset):
+        submitted = server.service.queue.stats()["submitted"]
+        base = {"dataset": dataset, "alpha": 0.4, "variant": "EMD^A"}
+        for path, document in (
+            ("/sparsify", {**base, "emd_mode": "bogus"}),
+            ("/sparsify", {**base, "lp_solver": "simplex"}),
+            ("/sparsify", {**base, "engine": "loop"}),
+            ("/grid", {"dataset": dataset, "engine": "vector"}),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(server, path, document)
+            assert excinfo.value.code == 400, document
+        assert server.service.queue.stats()["submitted"] == submitted
+
+    def test_string_booleans_rejected(self, server, dataset):
+        # bool("false") is True: coercing would run the opposite request.
+        for path, document in (
+            ("/grid", {"dataset": dataset, "relative": "false"}),
+            ("/estimate", {"dataset": dataset, "query": "distance",
+                           "weighted": "false"}),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(server, path, document)
+            assert excinfo.value.code == 400, document
+            assert b"true or false" in excinfo.value.read()
+
     def test_queue_overflow_maps_to_429(self, server, dataset):
         service = server.service
         release = threading.Event()

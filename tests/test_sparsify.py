@@ -10,6 +10,8 @@ from repro.core import (
     target_edge_count,
 )
 
+from oracles import scalar_reference
+
 
 class TestParse:
     def test_simple_methods(self):
@@ -88,34 +90,23 @@ class TestDispatch:
 
 
 class TestEngineKnob:
+    """The retired sweep-engine knob: one production path, and the
+    scalar reference runs only as a test oracle."""
+
     @pytest.mark.parametrize(
         "variant", ["GDB^A", "GDB^R-t", "GDB^A_2", "GDB^A_n", "EMD^R-t"]
     )
     def test_loop_engine_meets_budget_too(self, small_power_law, variant):
-        sparsified = sparsify(
-            small_power_law, 0.4, variant=variant, rng=0, engine="loop"
-        )
+        with scalar_reference():
+            sparsified = sparsify(small_power_law, 0.4, variant=variant, rng=0)
         assert check_budget(small_power_law, sparsified, 0.4)
 
-    def test_vector_is_default(self, small_power_law):
-        default = sparsify(small_power_law, 0.4, variant="EMD^R-t", rng=3)
-        vector = sparsify(
-            small_power_law, 0.4, variant="EMD^R-t", rng=3, engine="vector"
-        )
-        assert default.isomorphic_probabilities(vector)
-
-    def test_engine_ignored_by_baselines(self, small_power_law):
-        a = sparsify(small_power_law, 0.4, variant="NI", rng=0, engine="loop")
-        b = sparsify(small_power_law, 0.4, variant="NI", rng=0, engine="vector")
-        assert a.isomorphic_probabilities(b)
-
     def test_invalid_engine_rejected(self, small_power_law):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             sparsify(small_power_law, 0.4, variant="GDB^A", rng=0, engine="fast")
 
     def test_fused_not_a_public_engine(self, small_power_law):
-        # "fused" is the internal M-phase path, not a sparsify() knob.
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             sparsify(small_power_law, 0.4, variant="GDB^A", rng=0, engine="fused")
 
 

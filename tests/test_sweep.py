@@ -1,4 +1,4 @@
-"""Sweep engines: coloring, loop-vs-vector equivalence, grid driver."""
+"""Sweeps: coloring, equivalence with the scalar oracle, ``gdb_grid``."""
 
 import numpy as np
 import pytest
@@ -20,12 +20,18 @@ from repro.core.sweep import colored_sweep, fused_sweep
 from repro.core.rules import degree_step_absolute, degree_step_absolute_array
 from repro.datasets import erdos_renyi_uncertain, flickr_like
 
-#: Loop-vs-vector contract: converged objectives agree to this gate
-#: when both engines run to tight convergence.
+from oracles import loop_refine, scalar_reference
+
+#: Oracle-vs-production contract: converged objectives agree to this
+#: gate when both run to tight convergence.
 TOL = 1e-6
 
+#: "loop" = the scalar oracle, "vector" = production ``gdb_refine``.
+REFINES = {"loop": loop_refine, "vector": gdb_refine}
+
+
 def converged_pair(graph, backbone_ids, max_chunks=30, **config_kwargs):
-    """Converged D1 of both engines from the same backbone.
+    """Converged D1 of the oracle and production from the same backbone.
 
     Convergence is chunked: 1000 forced sweeps at a time until the
     objective stops changing *exactly* (the descent reaches a true fixed
@@ -36,24 +42,24 @@ def converged_pair(graph, backbone_ids, max_chunks=30, **config_kwargs):
     relative = config_kwargs.get("relative", False)
     chunk = GDBConfig(**{**config_kwargs, "tau": 0.0, "max_sweeps": 1000})
     results = {}
-    for engine in ("loop", "vector"):
+    for name, refine in REFINES.items():
         state = SparsificationState(graph)
         for eid in backbone_ids:
             state.select_edge(eid)
         objectives = [state.d1(relative=relative)]
         one_sweep = GDBConfig(**{**config_kwargs, "tau": 0.0, "max_sweeps": 1})
         for _ in range(25):
-            gdb_refine(state, one_sweep, engine=engine)
+            refine(state, one_sweep)
             objectives.append(state.d1(relative=relative))
         previous = objectives[-1]
         for _ in range(max_chunks):
-            gdb_refine(state, chunk, engine=engine)
+            refine(state, chunk)
             current = state.d1(relative=relative)
             if current == previous:
                 break
             previous = current
         state.verify()
-        results[engine] = (state.d1(relative=relative), objectives)
+        results[name] = (state.d1(relative=relative), objectives)
     return results
 
 
@@ -130,12 +136,12 @@ class TestPlan:
     ids=["abs", "abs-h1", "rel", "k2", "kn"],
 )
 class TestEngineEquivalence:
-    """Loop and vector engines reach the same converged objective.
+    """The scalar oracle and production reach the same converged objective.
 
     ``k = 1``: the colored order differs from the loop order, but
     coordinate descent on the convex D1 objective converges to the same
-    value (gated at 1e-6).  ``k >= 2`` / ``"n"``: the vector engine runs
-    the fused sequential path in the loop's order — results are exactly
+    value (gated at 1e-6).  ``k >= 2`` / ``"n"``: production runs the
+    fused sequential path in the loop's order — results are exactly
     equal.  Per-sweep monotone descent of D1 is asserted for the k = 1
     rules (the k >= 2 rules minimise D_k, not D1).
     """
@@ -173,7 +179,7 @@ class TestEngineEquivalence:
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_property_engines_agree_on_er_graphs(seed):
-    """Hypothesis ER graphs: loop and vector GDB converge together."""
+    """Hypothesis ER graphs: oracle and production GDB converge together."""
     rng = np.random.default_rng(seed)
     graph = erdos_renyi_uncertain(30, avg_degree=8, rng=seed % 101)
     m = graph.number_of_edges()
@@ -189,14 +195,15 @@ def test_property_engines_agree_on_er_graphs(seed):
 
 class TestGdbFacade:
     def test_invalid_engine_rejected(self, small_power_law):
-        with pytest.raises(ValueError):
+        # One sweep path: the facade takes no engine at all.
+        with pytest.raises(TypeError):
             gdb(small_power_law, alpha=0.4, rng=0, engine="gpu")
 
     def test_fused_is_refine_only(self, small_power_law):
-        # The facade rejects "fused"; gdb_refine accepts it (EMD's
-        # M-phase path) and matches the loop engine bit for bit.
-        with pytest.raises(ValueError):
-            gdb(small_power_law, alpha=0.4, rng=0, engine="fused")
+        # The facade has no sequential switch; gdb_refine's (EMD's
+        # M-phase path) matches the scalar oracle bit for bit.
+        with pytest.raises(TypeError):
+            gdb(small_power_law, alpha=0.4, rng=0, sequential=True)
         states = []
         for _ in range(2):
             state = SparsificationState(small_power_law)
@@ -204,28 +211,29 @@ class TestGdbFacade:
                 state.select_edge(eid)
             states.append(state)
         config = GDBConfig(h=0.05, tau=0.0, max_sweeps=5)
-        gdb_refine(states[0], config, engine="loop")
-        gdb_refine(states[1], config, engine="fused")
+        loop_refine(states[0], config)
+        gdb_refine(states[1], config, sequential=True)
         assert np.array_equal(states[0].phat, states[1].phat)
 
     def test_vector_is_default_and_budget_holds(self, small_power_law):
         out = gdb(small_power_law, alpha=0.4, rng=0)
-        explicit = gdb(small_power_law, alpha=0.4, rng=0, engine="vector")
-        assert out.isomorphic_probabilities(explicit)
-
-    def test_loop_engine_still_selectable(self, small_power_law):
-        out = gdb(small_power_law, alpha=0.4, rng=0, engine="loop")
-        assert out.number_of_edges() == gdb(
-            small_power_law, alpha=0.4, rng=0
-        ).number_of_edges()
+        again = gdb(small_power_law, alpha=0.4, rng=0)
+        assert out.isomorphic_probabilities(again)
+        assert out.number_of_edges() == round(
+            0.4 * small_power_law.number_of_edges()
+        )
+        with scalar_reference():
+            oracle = gdb(small_power_law, alpha=0.4, rng=0)
+        assert oracle.number_of_edges() == out.number_of_edges()
 
     def test_relative_k2_rejected_by_both_engines(self, small_power_law):
-        for engine in ("loop", "vector"):
-            with pytest.raises(ValueError):
-                gdb(
-                    small_power_law, alpha=0.4, rng=0, engine=engine,
-                    config=GDBConfig(k=2, relative=True),
-                )
+        config = GDBConfig(k=2, relative=True)
+        with pytest.raises(ValueError):
+            gdb(small_power_law, alpha=0.4, rng=0, config=config)
+        state = SparsificationState(small_power_law)
+        state.select_edges(bgi_backbone(small_power_law, 0.4, rng=0))
+        with pytest.raises(ValueError):
+            loop_refine(state, config)
 
 
 class TestFusedSweep:
@@ -239,7 +247,7 @@ class TestFusedSweep:
                     state.select_edge(eid)
                 states.append(state)
             config = GDBConfig(h=0.05, k=k, tau=0.0, max_sweeps=1)
-            gdb_refine(states[0], config, engine="loop")
+            loop_refine(states[0], config)
             plan = build_sweep_plan(states[1], sequential_only=True)
             fused_sweep(states[1], plan, k, False, 0.05)
             assert np.array_equal(states[0].phat, states[1].phat)
@@ -258,7 +266,7 @@ class TestGridDriver:
             ids = bgi_backbone(small_power_law, alpha, rng=9)
             direct = gdb(
                 small_power_law, backbone_ids=list(ids),
-                config=GDBConfig(h=h), engine="vector",
+                config=GDBConfig(h=h),
             )
             assert cell.graph.number_of_edges() == direct.number_of_edges()
             assert cell.objective == pytest.approx(
@@ -284,14 +292,13 @@ class TestGridDriver:
         assert np.isfinite(cell.objective)
 
     def test_loop_engine_grid(self, small_power_law):
-        vector = gdb_grid(
-            small_power_law, alphas=(0.4,), h_values=(0.05,), rng=2,
-            engine="vector", build_graphs=False, tau=0.0, max_sweeps=2000,
+        kwargs = dict(
+            alphas=(0.4,), h_values=(0.05,), rng=2, build_graphs=False,
+            tau=0.0, max_sweeps=2000,
         )
-        loop = gdb_grid(
-            small_power_law, alphas=(0.4,), h_values=(0.05,), rng=2,
-            engine="loop", build_graphs=False, tau=0.0, max_sweeps=2000,
-        )
+        vector = gdb_grid(small_power_law, **kwargs)
+        with scalar_reference():
+            loop = gdb_grid(small_power_law, **kwargs)
         assert vector[(0.4, 0.05)].objective == pytest.approx(
             loop[(0.4, 0.05)].objective, rel=TOL, abs=TOL
         )
