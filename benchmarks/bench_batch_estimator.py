@@ -1,11 +1,13 @@
-"""Smoke benchmark: batched vs legacy Monte-Carlo estimator throughput.
+"""Smoke benchmark: the Monte-Carlo estimator vs its per-world oracle.
 
 Times a 500-world reliability estimate on a ~2k-edge synthetic graph
-through both execution paths of :class:`MonteCarloEstimator`.  The
-batched world-ensemble engine must (a) return the exact same outcome
+through :class:`MonteCarloEstimator` (batched world ensembles) and
+through the world-at-a-time reference loop of ``tests/oracles``
+("legacy").  The estimator must (a) return the exact same outcome
 matrix and (b) beat the per-world loop by at least ``MIN_SPEEDUP``.
 Results are archived under ``benchmarks/results/`` like the figure
-benchmarks.
+benchmarks.  Run from the repository root (``python -m pytest
+benchmarks/bench_batch_estimator.py``) so ``tests.oracles`` imports.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.datasets import flickr_like
 from repro.experiments.common import ResultTable
 from repro.queries import PageRankQuery, ReliabilityQuery, sample_vertex_pairs
 from repro.sampling import MonteCarloEstimator
+from tests.oracles import per_world_outcomes
 
 #: Acceptance floor for the reliability workload (the headline claim).
 #: Shared CI runners have noisy clocks — they override this via
@@ -51,9 +54,8 @@ def _run_both(graph, query, n_samples=N_WORLDS, legacy_samples=None):
     batched_result = batched.run(query, rng=3)
     batched_seconds = time.perf_counter() - start
 
-    legacy = MonteCarloEstimator(graph, n_samples=legacy_samples, batched=False)
     start = time.perf_counter()
-    legacy_result = legacy.run(query, rng=3)
+    legacy_result = per_world_outcomes(graph, query, legacy_samples, rng=3)
     legacy_seconds = (time.perf_counter() - start) * (n_samples / legacy_samples)
 
     assert np.array_equal(

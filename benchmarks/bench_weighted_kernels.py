@@ -13,13 +13,15 @@ Two workloads on a ~5k-edge Flickr-style topology:
   noisy.  On very sparse ensembles (mean p well under 0.1) each
   world's reachable component is tiny and the per-world Dijkstra is
   competitive; the equality gate still runs there via the unit tests.
-- **packed BFS**: bit-packed uint64 frontiers against the boolean
-  kernel.  Distances must be *bit-identical* (always gated) and the
-  packed frontier working set must be ~8x smaller — a deterministic
-  arithmetic gate, not a timing; wall-clocks of both kernels are
-  reported for the archive.
+- **packed BFS**: the production bit-packed uint64 frontiers against
+  the boolean-frontier reference of ``tests/oracles``.  Distances must
+  be *bit-identical* (always gated) and the packed frontier working set
+  must be ~8x smaller — a deterministic arithmetic gate, not a timing;
+  wall-clocks of both kernels are reported for the archive.
 
-Results land under ``benchmarks/results/`` like the other benches.
+Results land under ``benchmarks/results/`` like the other benches.  Run
+from the repository root (``python -m pytest
+benchmarks/bench_weighted_kernels.py``) so ``tests.oracles`` imports.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.core import UncertainGraph
 from repro.datasets import flickr_like
 from repro.experiments.common import ResultTable
 from repro.sampling import WorldSampler
+from tests.oracles import bfs_distances_boolean
 
 #: Acceptance floor for batched delta-stepping vs the Dijkstra loop on
 #: the dense-probability ensemble (measured ~3x single-core; CI noise
@@ -119,11 +122,11 @@ def test_bench_packed_bfs(sparse_sampler, emit):
     sources = list(range(N_SOURCES))
 
     start = time.perf_counter()
-    boolean = [batch.bfs_distances(s, kernel="boolean") for s in sources]
+    boolean = [bfs_distances_boolean(batch, s) for s in sources]
     boolean_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    packed = [batch.bfs_distances(s, kernel="packed") for s in sources]
+    packed = [batch.bfs_distances(s) for s in sources]
     packed_s = time.perf_counter() - start
 
     # Bit-identity always gates.

@@ -183,10 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worlds per batch chunk (default: auto-sized from memory)",
     )
     estimate_cmd.add_argument(
-        "--no-batch", action="store_true",
-        help="evaluate worlds one at a time (legacy path)",
-    )
-    estimate_cmd.add_argument(
         "--workers", type=int, default=1,
         help="processes for batch-chunk evaluation (default 1 = in-process; "
         "0 means one per CPU; results are identical for any value)",
@@ -484,6 +480,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "--weighted only applies to --query distance"
         )
     if args.query in ("reliability", "distance"):
+        if args.pairs < 1:
+            raise ReproError(f"--pairs must be at least 1, got {args.pairs}")
         pairs = sample_vertex_pairs(graph, args.pairs, rng=args.seed)
         query = (
             ReliabilityQuery(pairs) if args.query == "reliability"
@@ -502,7 +500,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         graph,
         n_samples=args.samples,
         batch_size=args.batch_size,
-        batched=not args.no_batch,
         workers=workers,
         dataset=dataset_path if workers > 1 else None,
         backend=_resolve_backend_arg(args.backend),
@@ -511,12 +508,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         result = estimator.run(query, rng=args.seed)
     finally:
         estimator.close()
-    if args.no_batch:
-        evaluation = "per-world (legacy)"
-    elif workers > 1:
-        evaluation = f"batched ({workers} workers)"
-    else:
-        evaluation = "batched"
+    evaluation = f"batched ({workers} workers)" if workers > 1 else "batched"
     label = f"{args.query} (weighted -log p)" if args.weighted else args.query
     print(f"query:            {label}")
     print(f"worlds sampled:   {args.samples}")

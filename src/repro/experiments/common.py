@@ -51,8 +51,6 @@ class ExperimentScale:
     alphas: tuple[float, ...] = PAPER_ALPHAS
     #: Worlds per batched-estimator chunk (None = auto-size from memory).
     mc_batch_size: "int | None" = None
-    #: Escape hatch: False runs the estimators world-at-a-time.
-    mc_batched: bool = True
     #: Processes for batch-chunk evaluation (1 = in-process, None = one
     #: per CPU); estimates are bit-identical for any value.
     mc_workers: "int | None" = 1

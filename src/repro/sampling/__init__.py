@@ -4,12 +4,12 @@
   :class:`~repro.sampling.worlds.World` — vectorised world sampling,
 - :class:`~repro.sampling.batch.WorldBatch` — world *ensembles*: all
   sampled worlds evaluated at once as dense array programs,
-- :mod:`~repro.sampling.kernels` — the swappable traversal kernels
-  underneath (bit-packed BFS, batched delta-stepping for ``-log p``
+- :mod:`~repro.sampling.kernels` — the traversal kernels underneath
+  (bit-packed BFS, batched delta-stepping for ``-log p``
   most-probable-path distances, the per-world Dijkstra reference),
 - :mod:`~repro.sampling.exact` — exhaustive enumeration (Eq. 1),
 - :class:`~repro.sampling.monte_carlo.MonteCarloEstimator` — the MC
-  query engine + variance protocol (batched by default),
+  query engine + variance protocol (batched, chunked world ensembles),
 - :class:`~repro.sampling.parallel.ParallelBatchExecutor` — batch
   chunks fanned over a process pool, deterministic for any worker
   count (``workers=`` on every estimator),
@@ -21,13 +21,10 @@ from repro.sampling.adaptive import AdaptiveResult, adaptive_estimate, samples_t
 from repro.sampling.batch import (
     BatchTopology,
     WorldBatch,
-    auto_batch_size,
     auto_chunk_size,
     kernel_world_bytes,
 )
 from repro.sampling.kernels import (
-    BFS_KERNELS,
-    DEFAULT_BFS_KERNEL,
     delta_stepping_distances,
     dijkstra_distances,
     most_probable_path_weights,
@@ -52,15 +49,12 @@ from repro.sampling.worlds import World, WorldSampler
 
 __all__ = [
     "AdaptiveResult",
-    "BFS_KERNELS",
     "BatchTopology",
-    "DEFAULT_BFS_KERNEL",
     "delta_stepping_distances",
     "dijkstra_distances",
     "most_probable_path_weights",
     "EstimationResult",
     "adaptive_estimate",
-    "auto_batch_size",
     "auto_chunk_size",
     "kernel_world_bytes",
     "samples_to_width",

@@ -11,6 +11,10 @@ that claim executable:
 - :func:`samples_to_width` — the measured sample count, so experiments
   can report measured ``N'`` vs ``N`` next to the variance-ratio
   prediction.
+
+Each draw is a batch of worlds evaluated through the ensemble kernels;
+the stopping rule sees the same per-world scalars, in the same order,
+as the world-at-a-time reference in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ def adaptive_estimate(
     min_samples: int = 30,
     max_samples: int = 20_000,
     batch: int = 10,
-    batched: bool = True,
     workers: int | None = 1,
 ) -> AdaptiveResult:
     """Sample worlds until the 95% CI width falls below ``target_width``.
@@ -82,13 +85,9 @@ def adaptive_estimate(
     max_samples:
         Hard cap; the result reports ``converged=False`` when hit.
     batch:
-        Worlds per stopping-rule check.
-    batched:
-        Evaluate each draw through the ensemble kernels (default); the
-        sequential stopping rule sees the exact same per-world scalars
-        either way, so this only changes speed.
+        Worlds per stopping-rule check (at least 1).
     workers:
-        Process count for batched draws
+        Process count for the draws
         (:class:`~repro.sampling.parallel.ParallelBatchExecutor` in
         sequential-compatibility mode — the stopping rule sees the same
         scalars for any worker count).  ``<= 1`` stays in-process.
@@ -96,41 +95,33 @@ def adaptive_estimate(
     Raises
     ------
     EstimationError
-        If ``target_width`` is not positive or bounds are inconsistent.
+        If ``target_width`` is not positive, ``batch`` is below 1 or
+        bounds are inconsistent.
     """
+    from repro.sampling.monte_carlo import warnings_suppressed
+    from repro.sampling.parallel import ParallelBatchExecutor
+
     if target_width <= 0:
         raise EstimationError(f"target_width must be positive, got {target_width}")
     if min_samples < 2 or max_samples < min_samples:
         raise EstimationError("need max_samples >= min_samples >= 2")
+    if batch < 1:
+        raise EstimationError(f"batch must be at least 1, got {batch}")
     rng = ensure_rng(rng)
-    sampler = WorldSampler(graph)
 
-    executor = None
-    if batched:
-        from repro.sampling.parallel import ParallelBatchExecutor
-
-        # One executor (and process pool, when workers > 1) serves every
-        # draw of the stopping loop; sequential mode consumes the RNG
-        # stream exactly like sample_batch would, so the per-world
-        # scalars — and hence the stopping point — are unchanged.
-        executor = ParallelBatchExecutor(
-            sampler, query, workers=workers, rng_mode="sequential"
-        )
-
+    # One executor (and process pool, when workers > 1) serves every
+    # draw of the stopping loop; sequential mode consumes the RNG stream
+    # exactly like sample_batch would, so the per-world scalars — and
+    # hence the stopping point — do not depend on ``workers``.
+    executor = ParallelBatchExecutor(
+        WorldSampler(graph), query, workers=workers, rng_mode="sequential"
+    )
     values: list[float] = []
 
     def draw(count: int) -> None:
-        from repro.sampling.monte_carlo import warnings_suppressed
-
-        if executor is not None:
-            outcomes = executor.run(count, rng)
-            with warnings_suppressed():
-                values.extend(float(v) for v in np.nanmean(outcomes, axis=1))
-            return
-        for world in sampler.sample_many(count, rng):
-            outcome = query.evaluate(world)
-            with warnings_suppressed():
-                values.append(float(np.nanmean(outcome)))
+        outcomes = executor.run(count, rng)
+        with warnings_suppressed():
+            values.extend(float(v) for v in np.nanmean(outcomes, axis=1))
 
     try:
         draw(min_samples)
@@ -161,8 +152,7 @@ def adaptive_estimate(
                 )
             draw(min(batch, max_samples - len(values)))
     finally:
-        if executor is not None:
-            executor.close()
+        executor.close()
 
 
 def samples_to_width(

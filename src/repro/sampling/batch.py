@@ -8,10 +8,8 @@ shared parent CSR (:class:`BatchTopology`), and each graph primitive
 runs over *all* worlds simultaneously as dense NumPy kernels —
 
 - batched degrees via masked prefix sums over the shared CSR,
-- batched BFS through the swappable ensemble kernels of
-  :mod:`repro.sampling.kernels` (bit-packed uint64 frontiers by
-  default; the original boolean-frontier kernel stays selectable and
-  bit-identical),
+- batched BFS through the bit-packed uint64-frontier kernel of
+  :mod:`repro.sampling.kernels`,
 - batched *weighted* distances (the ``-log p`` most-probable-path
   transform) via the bucketed delta-stepping kernel,
 - batched connected components via min-label propagation with pointer
@@ -46,24 +44,15 @@ DEFAULT_BATCH_BYTES = 64 * 1024 * 1024
 BATCH_BYTES_ENV = "REPRO_BATCH_BYTES"
 
 
-def kernel_world_bytes(n_edges: int, n_vertices: int, kernel: str | None = None) -> int:
-    """Per-world working-set estimate (bytes) of a host BFS kernel.
+def kernel_world_bytes(n_edges: int, n_vertices: int) -> int:
+    """Per-world working-set estimate (bytes) of the host BFS kernel.
 
-    The historical model assumed the dense *boolean* kernel's scratch —
-    one ``(B, 2m)`` float64-equivalent activation row — which
-    overestimates the default packed-uint64 kernel ~8x: packed frontiers
-    carry 1 *bit* per (world, directed edge) plus the uint64 word
-    matrices, so its edge term is ``4m`` bytes/world (packed liveness +
-    packed mask layout) against the boolean kernel's ``32m``.  Both
-    models share the ``(B, n)`` vertex-state term (distance matrix,
-    reached/frontier rows, bincount scratch).
+    Packed frontiers carry 1 *bit* per (world, directed edge) plus the
+    uint64 word matrices, so the edge term is ``4m`` bytes/world (packed
+    liveness + packed mask layout); the ``(B, n)`` vertex-state term
+    covers the distance matrix, reached/frontier rows and scratch.
     """
-    name = kernels.DEFAULT_BFS_KERNEL if kernel is None else kernel
-    kernels.resolve_bfs_kernel(name)  # fail fast on typos
-    vertex_term = 32 * max(n_vertices, 1)
-    if name == "packed":
-        return 2 * max(2 * n_edges, 1) + vertex_term
-    return 16 * max(2 * n_edges, 1) + vertex_term
+    return 2 * max(2 * n_edges, 1) + 32 * max(n_vertices, 1)
 
 
 def auto_chunk_size(
@@ -71,7 +60,6 @@ def auto_chunk_size(
     n_edges: int,
     n_vertices: int = 0,
     budget_bytes: int | None = None,
-    kernel: str | None = None,
     backend=None,
 ) -> int:
     """Chunk size keeping one chunk's working set near the byte budget.
@@ -82,12 +70,11 @@ def auto_chunk_size(
     (:meth:`~repro.backend.base.ArrayBackend.free_memory`); else
     :data:`DEFAULT_BATCH_BYTES`.
 
-    The per-world footprint is kernel-aware on the host
-    (:func:`kernel_world_bytes` — the packed-uint64 default moves ~8x
-    fewer bytes than the dense boolean kernel) and backend-supplied for
-    device backends (:meth:`~repro.backend.base.ArrayBackend.world_bytes`
-    — the portable xp kernels run dense, dtype-correct float64/bool
-    matrices).
+    The per-world footprint is the packed host kernel's
+    (:func:`kernel_world_bytes`) on the reference backend and
+    backend-supplied for device backends
+    (:meth:`~repro.backend.base.ArrayBackend.world_bytes` — the portable
+    xp kernels run dense, dtype-correct float64/bool matrices).
 
     Chunk boundaries remain a pure function of the problem shape and the
     resolved budget — sequential-mode estimates are chunk-invariant by
@@ -109,30 +96,8 @@ def auto_chunk_size(
     if budget_bytes is None:
         budget_bytes = DEFAULT_BATCH_BYTES
     if per_world is None:
-        per_world = kernel_world_bytes(n_edges, n_vertices, kernel)
+        per_world = kernel_world_bytes(n_edges, n_vertices)
     return int(max(1, min(n_samples, budget_bytes // max(per_world, 1))))
-
-
-def auto_batch_size(
-    n_samples: int,
-    n_edges: int,
-    n_vertices: int = 0,
-    budget_bytes: int | None = None,
-    kernel: str | None = None,
-) -> int:
-    """Compatibility alias for :func:`auto_chunk_size` (host kernels only).
-
-    Kept as the stable public name; sizes for the *default* BFS kernel
-    unless ``kernel=`` names another, so the packed kernel now gets
-    chunks ~8x larger than the historical boolean-scratch model allowed.
-    """
-    return auto_chunk_size(
-        n_samples,
-        n_edges,
-        n_vertices=n_vertices,
-        budget_bytes=budget_bytes,
-        kernel=kernel,
-    )
 
 
 class BatchTopology:
@@ -274,12 +239,6 @@ class WorldBatch:
         Optional ``(m,)`` non-negative weights per parent edge (the
         samplers attach the ``-log p`` most-probable-path transform);
         required by :meth:`weighted_distances`.
-    bfs_kernel:
-        Frontier kernel name for :meth:`bfs_distances` (``"packed"`` /
-        ``"boolean"``); ``None`` uses
-        :data:`repro.sampling.kernels.DEFAULT_BFS_KERNEL`.  All kernels
-        return bit-identical distances — the knob trades memory traffic,
-        never answers.
     backend:
         Array backend for the traversal methods — ``None`` / ``"numpy"``
         (the reference, running the specialised host kernels above,
@@ -301,7 +260,7 @@ class WorldBatch:
 
     __slots__ = (
         "n", "m", "n_worlds", "masks", "topology", "edge_weights",
-        "bfs_kernel", "backend", "_alive_directed", "_labels",
+        "backend", "_alive_directed", "_labels",
         "_packed_masks", "_packed_alive", "_alive_ordered", "_xp_plan",
     )
 
@@ -312,7 +271,6 @@ class WorldBatch:
         masks: np.ndarray,
         topology: BatchTopology | None = None,
         edge_weights: np.ndarray | None = None,
-        bfs_kernel: str | None = None,
         backend=None,
     ) -> None:
         masks = np.asarray(masks, dtype=bool)
@@ -332,14 +290,11 @@ class WorldBatch:
                     f"edge_weights must have shape ({self.m},), "
                     f"got {edge_weights.shape}"
                 )
-        if bfs_kernel is not None:
-            kernels.resolve_bfs_kernel(bfs_kernel)  # fail fast on typos
         self.masks = masks
         self.topology = topology if topology is not None else BatchTopology(
             n, edge_vertices
         )
         self.edge_weights = edge_weights
-        self.bfs_kernel = bfs_kernel
         self.backend = resolve_backend(backend)
         self._alive_directed: np.ndarray | None = None
         self._labels: np.ndarray | None = None
@@ -350,14 +305,14 @@ class WorldBatch:
 
     # -- per-world views ----------------------------------------------------
     def world(self, index: int) -> World:
-        """Materialise world ``index`` as a legacy :class:`World`."""
+        """Materialise world ``index`` as a per-world :class:`World`."""
         return World(
             self.n, self.topology.edge_vertices, self.masks[index],
             edge_weights=self.edge_weights,
         )
 
     def iter_worlds(self) -> Iterator[World]:
-        """Yield every world of the ensemble as a legacy :class:`World`."""
+        """Yield every world of the ensemble as a per-world :class:`World`."""
         for i in range(self.n_worlds):
             yield self.world(i)
 
@@ -385,15 +340,11 @@ class WorldBatch:
         self,
         source: int,
         targets: "np.ndarray | list[int] | None" = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """``(N, n)`` BFS distances from ``source`` in every world (-1 unreachable).
 
-        Dispatches to an ensemble kernel from
-        :mod:`repro.sampling.kernels` — bit-packed uint64 frontiers by
-        default, the boolean-frontier original via
-        ``kernel="boolean"`` — every kernel returning bit-identical
-        distances.
+        Runs :func:`repro.sampling.kernels.bfs_distances_packed` (worlds
+        bit-packed into uint64 frontier words).
 
         With ``targets``, a world retires as soon as every listed
         vertex has a distance — its other entries may then still read
@@ -402,18 +353,14 @@ class WorldBatch:
         distances are unaffected by the early exit).
 
         On a non-reference ``backend`` the portable xp formulation runs
-        instead (``kernel`` does not apply there — the device kernel is
-        its own frontier representation); BFS levels are representation-
-        independent, so distances stay exactly equal.
+        instead; BFS levels are representation-independent, so distances
+        stay exactly equal.
         """
         if not self.backend.is_reference:
             return kernels.bfs_distances_xp(
                 self, source, targets, backend=self.backend
             )
-        run = kernels.resolve_bfs_kernel(
-            kernel if kernel is not None else self.bfs_kernel
-        )
-        return run(self, source, targets)
+        return kernels.bfs_distances_packed(self, source, targets)
 
     def weighted_distances(
         self,

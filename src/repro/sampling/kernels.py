@@ -1,30 +1,31 @@
-"""Ensemble traversal kernels: the swappable compute layer under WorldBatch.
+"""Ensemble traversal kernels: the compute layer under WorldBatch.
 
 :class:`~repro.sampling.batch.WorldBatch` is the *data* layout of a
 world ensemble — an ``(N, m)`` mask matrix over one shared parent CSR.
 This module holds the *traversal* kernels that run over that layout, so
-the batch object stays a thin facade and alternative backends (packed
-CPU words today, a GPU array library tomorrow) plug in behind the same
-interface:
+the batch object stays a thin facade and device backends plug in behind
+the same interface:
 
-- :func:`bfs_distances_boolean` — the original ``(worlds, vertices)``
-  boolean-frontier BFS, one scatter per level across every world;
-- :func:`bfs_distances_packed` — the same BFS with worlds bit-packed
+- :func:`bfs_distances_packed` — the host BFS, with worlds bit-packed
   into uint64 words: frontier / visited sets are ``(vertices, words)``
-  matrices (~8x less memory traffic) and each level expands all 64
-  worlds of a word with single bitwise AND/OR passes over the shared
-  CSR.  Distances are **bit-identical** to the boolean kernel — BFS
-  levels do not depend on the frontier representation — which the
-  seeded property tests in ``tests/test_kernels.py`` enforce;
+  matrices and each level expands all 64 worlds of a word with single
+  bitwise AND/OR passes over the shared CSR.  Distances are
+  **bit-identical** to a dense boolean-frontier BFS — BFS levels do not
+  depend on the frontier representation — which the seeded property
+  tests in ``tests/test_kernels.py`` enforce against the boolean
+  reference kept in ``tests/oracles``;
 - :func:`delta_stepping_distances` — batched bucketed delta-stepping
   for *weighted* distances (the paper's ``-log p`` most-probable-path
   transform, after Potamias et al. [32]): one shared bucket schedule,
   a per-world tentative-distance matrix, and settled worlds dropping
   out of the working set;
+- :func:`bfs_distances_xp` / :func:`delta_stepping_distances_xp` — the
+  portable formulations of the two kernels above for non-reference
+  array backends;
 - :func:`dijkstra_distances` — the per-world binary-heap reference
   (``repro.utils.heap.IndexedMaxHeap`` with negated keys) used by the
-  legacy ``Query.evaluate`` protocol and as the test oracle for the
-  batched kernel.
+  ``Query.evaluate`` protocol and as the test oracle for the batched
+  kernel.
 
 Kernels are deliberately ignorant of :class:`WorldBatch` itself; they
 consume the duck-typed surface (``n``, ``n_worlds``, ``masks``,
@@ -37,9 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.heap import IndexedMaxHeap
-
-#: Kernel used by :meth:`WorldBatch.bfs_distances` when none is named.
-DEFAULT_BFS_KERNEL = "packed"
 
 #: Bits per packed frontier word.
 WORD_BITS = 64
@@ -79,83 +77,6 @@ def _csr_segment_indices(
         indptr[cols] - np.concatenate([[0], np.cumsum(lengths)[:-1]]),
         lengths,
     ) + np.arange(total)
-
-
-# ----------------------------------------------------------------------
-# Boolean-frontier BFS (the original WorldBatch kernel, moved here)
-# ----------------------------------------------------------------------
-def bfs_distances_boolean(
-    batch, source: int, targets: "np.ndarray | list[int] | None" = None
-) -> np.ndarray:
-    """``(N, n)`` BFS distances from ``source`` in every world (-1 unreachable).
-
-    Each level expands the frontier of *all still-growing worlds* at
-    once: activate the directed edges leaving any frontier vertex,
-    scatter their targets through one flat ``bincount``, and retire
-    worlds whose frontier emptied.
-
-    With ``targets``, a world also retires as soon as every listed
-    vertex has a distance — its other entries may then still read
-    ``-1``, so only consume the target columns (the point-to-point
-    query optimisation; BFS levels are deterministic, so the target
-    distances are unaffected by the early exit).
-    """
-    N, n = batch.n_worlds, batch.n
-    dist = np.full((N, n), -1, dtype=np.int64)
-    dist[:, source] = 0
-    reached = np.zeros((N, n), dtype=bool)
-    reached[:, source] = True
-    alive = batch.alive_directed()
-    src, dst = batch.topology.dir_source, batch.topology.indices
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-    indptr = batch.topology.indptr
-    rows = np.arange(N)
-    if targets is not None and targets.size:
-        rows = rows[~reached[:, targets].all(axis=1)]
-    frontier = np.zeros((N, n), dtype=bool)
-    frontier[:, source] = True
-    frontier = frontier[rows]
-    level = 0
-    while rows.size:
-        level += 1
-        # Hybrid expansion: wide frontiers activate edges with one
-        # contiguous pass; narrow ones gather only the CSR segments
-        # of vertices that front in *some* world, so the long tail
-        # of levels costs almost nothing.
-        cols = np.flatnonzero(frontier.any(axis=0))
-        lengths = indptr[cols + 1] - indptr[cols]
-        total = int(lengths.sum())
-        if total == 0:
-            break
-        if total * 4 >= alive.shape[1]:
-            active = alive[rows] & frontier[:, src]
-            w_loc, e_loc = np.nonzero(active)
-            if w_loc.size == 0:
-                break
-            flat = w_loc * n + dst[e_loc]
-        else:
-            e_sub = _csr_segment_indices(indptr, cols, lengths, total)
-            src_sub = np.repeat(cols, lengths)
-            active = alive[np.ix_(rows, e_sub)] & frontier[:, src_sub]
-            w_loc, e_loc = np.nonzero(active)
-            if w_loc.size == 0:
-                break
-            flat = w_loc * n + dst[e_sub[e_loc]]
-        hit = np.bincount(flat, minlength=rows.size * n)
-        hit = hit.reshape(rows.size, n).astype(bool)
-        new = hit & ~reached[rows]
-        w_new, v_new = np.nonzero(new)
-        if w_new.size == 0:
-            break
-        dist[rows[w_new], v_new] = level
-        reached[rows[w_new], v_new] = True
-        keep = new.any(axis=1)
-        if targets is not None and targets.size:
-            keep &= ~reached[np.ix_(rows, targets)].all(axis=1)
-        rows = rows[keep]
-        frontier = new[keep]
-    return dist
 
 
 # ----------------------------------------------------------------------
@@ -268,20 +189,24 @@ def _unpack_word_entries(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bfs_distances_packed(
     batch, source: int, targets: "np.ndarray | list[int] | None" = None
 ) -> np.ndarray:
-    """Bit-packed twin of :func:`bfs_distances_boolean` — same distances.
+    """``(N, n)`` BFS distances from ``source`` in every world (-1 unreachable).
 
     Frontier and visited sets live as ``(vertices, W)`` uint64 matrices
     with the ensemble's worlds packed along the bits (``W = ceil(N/64)``
     words), so one AND over the alive-edge words expands a level for 64
-    worlds at a time and the level loop moves ~8x fewer bytes than the
-    boolean kernel.  Wide frontiers group the activated edge words by
-    target vertex with a single ``bitwise_or.reduceat`` over the
-    target-sorted CSR; narrow frontiers gather only the touched CSR
+    worlds at a time and the level loop moves ~8x fewer bytes than a
+    dense boolean frontier.  Wide frontiers group the activated edge
+    words by target vertex with a single ``bitwise_or.reduceat`` over
+    the target-sorted CSR; narrow frontiers gather only the touched CSR
     segments and scatter with ``bitwise_or.at``.  BFS levels are a
     property of the graph, not of the frontier encoding, so the
     returned matrix — including the ``-1`` pattern left by the
-    ``targets`` early exit, which retires worlds under exactly the same
-    per-level condition — is bit-identical to the boolean kernel's.
+    ``targets`` early exit — is bit-identical to a boolean-frontier
+    BFS's.
+
+    With ``targets``, a world retires as soon as every listed vertex has
+    a distance (or its frontier empties) — its other entries may then
+    still read ``-1``, so only consume the target columns.
     """
     N, n = batch.n_worlds, batch.n
     dist = np.full((N, n), -1, dtype=np.int64)
@@ -338,24 +263,6 @@ def bfs_distances_packed(
             active &= ~np.bitwise_and.reduce(visited[targets], axis=0)
         frontier = new & active
     return dist
-
-
-#: Registry of frontier kernels selectable per batch or per call.
-BFS_KERNELS = {
-    "boolean": bfs_distances_boolean,
-    "packed": bfs_distances_packed,
-}
-
-
-def resolve_bfs_kernel(name: "str | None"):
-    """Map a kernel name (or ``None`` for the default) to its function."""
-    key = DEFAULT_BFS_KERNEL if name is None else name
-    try:
-        return BFS_KERNELS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown BFS kernel {key!r}; choose from {sorted(BFS_KERNELS)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -552,9 +459,9 @@ def bfs_distances_xp(
     compaction: retired worlds keep a cleared frontier row (their
     ``active`` bit masks every update), which is the branch-free shape
     devices want.  Retirement — empty new frontier, or all ``targets``
-    reached — mirrors :func:`bfs_distances_boolean` level for level, so
+    reached — matches :func:`bfs_distances_packed` level for level, so
     the returned matrix (including the ``-1`` pattern of the targeted
-    early exit) is bit-identical to the host kernels'.
+    early exit) is bit-identical to the host kernel's.
     """
     from repro.backend import resolve_backend
 

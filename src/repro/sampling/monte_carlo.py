@@ -11,6 +11,12 @@ returns the full ``(N, units)`` outcome matrix — the raw material for
   scalar estimates — the paper's footnote-10 "variance of G", which
   drives its sample-complexity argument
   ``N'/N = (sigma(G')/sigma(G))^2``.
+
+There is one evaluation path: chunked world ensembles
+(:class:`~repro.sampling.batch.WorldBatch`) through the
+:class:`~repro.sampling.parallel.ParallelBatchExecutor`.  The
+world-at-a-time loop it is bit-identical to is kept as the reference in
+``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -95,13 +101,15 @@ class EstimationResult:
 class MonteCarloEstimator:
     """Evaluate a query on ``n_samples`` possible worlds of a graph.
 
-    By default the run is *batched*: worlds are sampled as ``(B, m)``
-    mask matrices and evaluated through the queries' ensemble kernels
+    Worlds are sampled as ``(B, m)`` mask matrices and evaluated through
+    the queries' ensemble kernels
     (:func:`repro.queries.base.evaluate_query_batch`), chunked so one
-    chunk's working set stays memory-bounded.  The batched path consumes
-    the RNG stream exactly like the legacy per-world loop and the
-    kernels are bit-identical, so results do not depend on ``batched``
-    or ``batch_size``.
+    chunk's working set stays memory-bounded.  The masks fill row-major
+    from the RNG stream — exactly the worlds a world-at-a-time loop
+    would draw — and the kernels are bit-identical to the per-world
+    ``Query.evaluate`` protocol, so results do not depend on
+    ``batch_size`` (``tests/oracles`` keeps that per-world loop as the
+    reference).
 
     With ``workers > 1`` the chunks are evaluated concurrently on a
     process pool (:class:`repro.sampling.parallel.ParallelBatchExecutor`
@@ -120,14 +128,10 @@ class MonteCarloEstimator:
         Number of worlds per run (the paper uses 500 for quality plots).
     batch_size:
         Worlds per chunk; ``None`` auto-sizes from ``N * m`` against a
-        fixed memory budget (:func:`repro.sampling.batch.auto_batch_size`).
-    batched:
-        ``False`` restores the legacy world-at-a-time loop (escape
-        hatch, e.g. for queries whose per-world path is under test).
+        fixed memory budget (:func:`repro.sampling.batch.auto_chunk_size`).
     workers:
         Process count for chunk evaluation; ``<= 1`` stays in-process,
-        ``None`` uses one worker per CPU.  Ignored when ``batched`` is
-        ``False``.
+        ``None`` uses one worker per CPU.
     dataset:
         Optional binary dataset path (or
         :class:`~repro.datasets.binary_io.BinaryDataset`) backing
@@ -137,10 +141,7 @@ class MonteCarloEstimator:
     backend:
         Array backend for the batched traversal kernels (``None`` =
         the bit-identical NumPy reference; see
-        :func:`repro.backend.available_backends`).  Requires the
-        batched path — the legacy per-world loop has no array seam to
-        dispatch through, so ``batched=False`` with a non-reference
-        backend raises.
+        :func:`repro.backend.available_backends`).
 
     Examples
     --------
@@ -158,7 +159,6 @@ class MonteCarloEstimator:
         graph: UncertainGraph,
         n_samples: int = 500,
         batch_size: int | None = None,
-        batched: bool = True,
         workers: int | None = 1,
         dataset=None,
         backend=None,
@@ -172,15 +172,9 @@ class MonteCarloEstimator:
         if workers is not None and workers < 0:
             raise EstimationError(f"workers must be non-negative, got {workers}")
         self.backend = resolve_backend(backend)
-        if not batched and not self.backend.is_reference:
-            raise EstimationError(
-                f"backend={self.backend.name!r} needs the batched path; the "
-                "legacy per-world loop (batched=False) has no array seam"
-            )
         self.graph = graph
         self.n_samples = n_samples
         self.batch_size = batch_size
-        self.batched = batched
         self.workers = workers
         self.dataset = dataset
         self.sampler = WorldSampler(graph)
@@ -231,13 +225,6 @@ class MonteCarloEstimator:
     def run(self, query: "Query", rng: "int | np.random.Generator | None" = None) -> EstimationResult:
         """One Monte-Carlo run: the ``(N, units)`` outcome matrix."""
         rng = ensure_rng(rng)
-        if not self.batched:
-            outcomes = np.empty(
-                (self.n_samples, query.unit_count()), dtype=np.float64
-            )
-            for i, world in enumerate(self.sampler.sample_many(self.n_samples, rng)):
-                outcomes[i] = query.evaluate(world)
-            return EstimationResult(outcomes=outcomes)
         return EstimationResult(
             outcomes=self._executor_for(query).run(self.n_samples, rng)
         )
@@ -254,7 +241,6 @@ def repeated_estimates(
     n_samples: int = 200,
     rng: "int | np.random.Generator | None" = None,
     batch_size: int | None = None,
-    batched: bool = True,
     workers: int | None = 1,
     dataset=None,
     backend=None,
@@ -268,7 +254,7 @@ def repeated_estimates(
     """
     generators = spawn_rngs(rng, runs)
     estimator = MonteCarloEstimator(
-        graph, n_samples=n_samples, batch_size=batch_size, batched=batched,
+        graph, n_samples=n_samples, batch_size=batch_size,
         workers=workers, dataset=dataset, backend=backend,
     )
     try:

@@ -16,8 +16,8 @@ Two RNG regimes are supported, both independent of the worker count:
     The parent draws every chunk's masks from the single RNG stream in
     chunk order — exactly the uniforms today's serial path consumes —
     and workers only evaluate.  Results are *bit-identical* to the
-    serial batched path (and hence to the legacy per-world loop) under
-    a fixed seed, for any ``workers``.
+    serial batched path (and hence to the per-world reference loop)
+    under a fixed seed, for any ``workers``.
 ``rng_mode="spawn"``
     One independent child generator per chunk, derived up front via
     ``SeedSequence.spawn`` (through :meth:`numpy.random.Generator.spawn`).

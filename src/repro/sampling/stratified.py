@@ -12,6 +12,11 @@ This serves two purposes in the repo: (a) an independently-implemented
 estimator to cross-check :class:`MonteCarloEstimator`, and (b) a
 demonstration that the paper's entropy-reduction goal and the stratified
 literature attack the same variance term from two directions.
+
+Each stratum's worlds are drawn as one mask matrix with the conditioned
+columns overwritten, and evaluated through the ensemble kernels; the
+per-world scalars equal those of the world-at-a-time reference in
+``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -94,19 +99,16 @@ class StratifiedEstimator:
         self,
         query: "Query",
         rng: "int | np.random.Generator | None" = None,
-        batched: bool = True,
         workers: "int | None" = 1,
     ) -> float:
         """Stratified scalar estimate of the query.
 
-        With ``batched=True`` (default) each stratum's worlds are drawn
-        as one mask matrix — the conditioned columns overwritten in one
-        assignment — and evaluated through the ensemble kernels; the
-        per-world scalars are identical to the legacy loop.  With
-        ``workers > 1`` the chunks of every stratum fan out over one
-        shared process pool; masks are still drawn by the parent from
-        the single stream, so the estimate does not depend on the worker
-        count.
+        Each stratum's worlds are drawn as one mask matrix — the
+        conditioned columns overwritten in one assignment — and
+        evaluated through the ensemble kernels.  With ``workers > 1``
+        the chunks of every stratum fan out over one shared process
+        pool; masks are still drawn by the parent from the single
+        stream, so the estimate does not depend on the worker count.
         """
         rng = ensure_rng(rng)
         total = 0.0
@@ -114,23 +116,13 @@ class StratifiedEstimator:
         weights = self.stratum_weights()
         # Proportional allocation with at least 1 sample per non-null stratum.
         allocation = np.maximum(1, np.rint(weights * self.n_samples).astype(int))
-        executor = self._executor_for(query, workers) if batched else None
+        executor = self._executor_for(query, workers)
         for assignment, weight, budget in zip(assignments, weights, allocation):
             if weight == 0.0:
                 continue
-            if executor is not None:
-                stratum_values = self._batched_stratum_values(
-                    executor, assignment, budget, rng
-                )
-            else:
-                stratum_values = np.empty(budget, dtype=np.float64)
-                for i in range(budget):
-                    mask = self.sampler.sample_mask(rng)
-                    mask[self.conditioned] = assignment
-                    world = self.sampler.world_from_mask(mask)
-                    outcome = query.evaluate(world)
-                    defined = outcome[~np.isnan(outcome)]
-                    stratum_values[i] = defined.mean() if len(defined) else np.nan
+            stratum_values = self._stratum_values(
+                executor, assignment, budget, rng
+            )
             defined_values = stratum_values[~np.isnan(stratum_values)]
             if len(defined_values) == 0:
                 continue
@@ -163,7 +155,7 @@ class StratifiedEstimator:
             self._executor = None
             self._executor_key = None
 
-    def _batched_stratum_values(
+    def _stratum_values(
         self,
         executor,
         assignment: tuple[bool, ...],
@@ -171,9 +163,9 @@ class StratifiedEstimator:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Per-world scalars of one stratum via the batch executor."""
-        from repro.sampling.batch import auto_batch_size
+        from repro.sampling.batch import auto_chunk_size
 
-        chunk = auto_batch_size(
+        chunk = auto_chunk_size(
             budget, self.sampler.m, n_vertices=self.sampler.n
         )
 
@@ -187,9 +179,9 @@ class StratifiedEstimator:
                 start += count
 
         outcomes = executor.map_masks(stratum_chunks())
-        # Reduce each row exactly like the legacy per-world loop (mean of
-        # the compacted defined entries — not nanmean over the full row,
-        # whose different summation partition can differ in the last ulp).
+        # Reduce each row as the mean of its compacted defined entries —
+        # not nanmean over the full row, whose different summation
+        # partition can differ from the per-world reference in the last ulp.
         stratum_values = np.empty(budget, dtype=np.float64)
         for i, outcome in enumerate(outcomes):
             defined = outcome[~np.isnan(outcome)]

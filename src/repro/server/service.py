@@ -77,6 +77,18 @@ def _flag(params: dict, name: str, default: bool) -> bool:
     return value
 
 
+def _integer(params: dict, name: str, default: int) -> int:
+    """Pop an integer parameter: only JSON integers pass.
+
+    ``int()`` would truncate ``2.9`` to ``2`` and read ``true`` as ``1``,
+    running (and caching under) a computation nobody asked for.
+    """
+    value = params.pop(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServerError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _normalise_backend(params: dict) -> str:
     """Validate the optional ``backend`` request parameter.
 
@@ -222,11 +234,12 @@ class SparsifierService:
     def _normalise(self, endpoint: str, params: dict) -> dict:
         """Canonicalise request params (also the cache-key material).
 
-        Every field is defaulted and type-coerced here so two requests
-        meaning the same computation produce identical keys: a
-        variant-specific knob (``lp_solver`` for LP, ``emd_mode`` for
-        EMD) is validated on every request but keyed only for the
-        variants it changes.
+        Every field is defaulted and type-checked here so two requests
+        meaning the same computation produce identical keys: integer
+        fields (``seed``, ``samples``, ``pairs``) accept only JSON
+        integers, and a variant-specific knob (``lp_solver`` for LP,
+        ``emd_mode`` for EMD) is validated on every request but keyed
+        only for the variants it changes.
         """
         if not isinstance(params, dict):
             raise ServerError("request body must be a JSON object")
@@ -238,7 +251,7 @@ class SparsifierService:
         norm: dict = {
             "dataset": dataset,
             "digest": digest,
-            "seed": int(params.pop("seed", 0)),
+            "seed": _integer(params, "seed", 0),
             "priority": int(priority),
         }
         if endpoint == "sparsify":
@@ -267,8 +280,8 @@ class SparsifierService:
         elif endpoint == "estimate":
             norm.update(
                 query=str(params.pop("query", "reliability")),
-                samples=int(params.pop("samples", 200)),
-                pairs=int(params.pop("pairs", 50)),
+                samples=_integer(params, "samples", 200),
+                pairs=_integer(params, "pairs", 50),
                 weighted=_flag(params, "weighted", False),
                 backend=_normalise_backend(params),
             )
@@ -283,6 +296,8 @@ class SparsifierService:
                 raise ServerError(
                     f"samples must be in [1, {self.config.max_samples}]"
                 )
+            if norm["pairs"] < 1:
+                raise ServerError(f"pairs must be at least 1, got {norm['pairs']}")
         elif endpoint == "grid":
             alphas = [float(a) for a in params.pop("alphas", [0.2, 0.4])]
             h_values = [float(h) for h in params.pop("h_values", [0.05])]

@@ -37,13 +37,11 @@ from repro.core.backbone import build_backbone
 from repro.core.discrepancy import SparsificationState
 from repro.core.gdb import GDBConfig, gdb_refine
 from repro.datasets import flickr_like
-from repro.exceptions import EstimationError
 from repro.queries import ReliabilityQuery, ShortestPathQuery
 from repro.sampling import MonteCarloEstimator, WorldSampler
 from repro.sampling.batch import (
     BATCH_BYTES_ENV,
     DEFAULT_BATCH_BYTES,
-    auto_batch_size,
     auto_chunk_size,
     kernel_world_bytes,
 )
@@ -444,38 +442,25 @@ class TestBatchBackendCache:
 # -- chunk autosizing (footprint model regression) ----------------------------
 
 class TestChunkAutosizing:
-    M, N = 10_000, 1_000  # packed/world = 72 kB, boolean/world = 352 kB
+    M, N = 10_000, 1_000  # packed/world = 72 kB
 
     def test_kernel_world_bytes_model(self):
-        assert kernel_world_bytes(self.M, self.N, kernel="packed") == 72_000
-        assert kernel_world_bytes(self.M, self.N, kernel="boolean") == 352_000
-        # The default kernel is packed: the historical boolean model
-        # overestimated it ~5x at this shape (8x asymptotically in m).
         assert kernel_world_bytes(self.M, self.N) == 72_000
         assert kernel_world_bytes(0, 0) > 0
-        with pytest.raises(ValueError):
-            kernel_world_bytes(self.M, self.N, kernel="not-a-kernel")
 
     def test_pinned_chunk_sizes_per_kernel(self):
         budget = 1_000_000
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget,
-                               kernel="packed") == 13
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget,
-                               kernel="boolean") == 2
-        # Same budget, default kernel == packed.
         assert auto_chunk_size(100, self.M, self.N, budget_bytes=budget) == 13
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(BATCH_BYTES_ENV, "352000")
-        assert auto_chunk_size(100, self.M, self.N, kernel="boolean") == 1
-        assert auto_chunk_size(100, self.M, self.N, kernel="packed") == 4
+        assert auto_chunk_size(100, self.M, self.N) == 4
         # An explicit budget always beats the environment.
-        assert auto_chunk_size(100, self.M, self.N, budget_bytes=1_000_000,
-                               kernel="packed") == 13
+        assert auto_chunk_size(100, self.M, self.N, budget_bytes=1_000_000) == 13
 
     def test_default_budget(self, monkeypatch):
         monkeypatch.delenv(BATCH_BYTES_ENV, raising=False)
-        assert auto_chunk_size(10**9, self.M, self.N, kernel="packed") == \
+        assert auto_chunk_size(10**9, self.M, self.N) == \
             DEFAULT_BATCH_BYTES // 72_000
 
     def test_backend_supplied_footprint(self):
@@ -491,15 +476,7 @@ class TestChunkAutosizing:
         assert auto_chunk_size(500, 10**9, budget_bytes=1) == 1
         assert auto_chunk_size(500, 1, budget_bytes=2**40) == 500
         assert auto_chunk_size(0, 0) == 1
-        assert auto_batch_size(7, 1, 1) == 7  # compat alias
-
-    def test_alias_matches_auto_chunk_size(self):
-        for kernel in (None, "packed", "boolean"):
-            assert auto_batch_size(
-                1000, self.M, self.N, budget_bytes=10**7, kernel=kernel
-            ) == auto_chunk_size(
-                1000, self.M, self.N, budget_bytes=10**7, kernel=kernel
-            )
+        assert auto_chunk_size(7, 1, 1) == 7
 
 
 # -- estimator integration ----------------------------------------------------
@@ -521,13 +498,6 @@ class TestEstimatorIntegration:
         np.testing.assert_array_equal(
             dev.run(query, rng=5).outcomes, ref.run(query, rng=5).outcomes
         )
-
-    def test_legacy_loop_rejects_non_reference_backend(self, small_power_law):
-        with pytest.raises(EstimationError, match="batched"):
-            MonteCarloEstimator(
-                small_power_law, n_samples=10, batched=False,
-                backend="instrumented",
-            )
 
     def test_numpy_backend_estimator_is_bit_identical(self, small_power_law):
         query = ShortestPathQuery([(0, 10), (3, 40)], weighted=True)

@@ -1,13 +1,16 @@
-"""Batched world-ensemble engine: seeded equivalence with the legacy path.
+"""Batched world-ensemble engine: seeded equivalence with the per-world path.
 
 The batch kernels promise *bit-identical* results to evaluating each
 world through the per-world protocol.  These tests hold every built-in
 query to that contract on random graphs, and check that the estimator
-layers (Monte-Carlo, adaptive, stratified) are invariant to batching
-and chunk size under a fixed seed.
+layers (Monte-Carlo, adaptive, stratified) equal their world-at-a-time
+references in ``tests/oracles`` and are invariant to chunk size under a
+fixed seed.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -35,8 +38,10 @@ from repro.sampling import (
     WorldBatch,
     WorldSampler,
     adaptive_estimate,
-    auto_batch_size,
+    auto_chunk_size,
 )
+
+from oracles import per_world_adaptive, per_world_outcomes, per_world_stratified
 
 
 def all_queries(graph: UncertainGraph, seed: int = 7) -> list:
@@ -180,9 +185,9 @@ class TestEstimatorEquivalence:
             ShortestPathQuery(pairs),
             PageRankQuery(small_power_law.number_of_vertices()),
         ):
-            legacy = MonteCarloEstimator(
-                small_power_law, n_samples=30, batched=False
-            ).run(query, rng=9).outcomes
+            legacy = per_world_outcomes(
+                small_power_law, query, n_samples=30, rng=9
+            ).outcomes
             one_batch = MonteCarloEstimator(
                 small_power_law, n_samples=30, batch_size=30
             ).run(query, rng=9).outcomes
@@ -197,28 +202,53 @@ class TestEstimatorEquivalence:
             MonteCarloEstimator(triangle, n_samples=5, batch_size=0)
 
     def test_auto_batch_size_bounds(self):
-        assert auto_batch_size(500, 2000) >= 1
-        assert auto_batch_size(10, 2000) <= 10
-        assert auto_batch_size(500, 0, n_vertices=0) <= 500
+        assert auto_chunk_size(500, 2000) >= 1
+        assert auto_chunk_size(10, 2000) <= 10
+        assert auto_chunk_size(500, 0, n_vertices=0) <= 500
         # A huge graph must still get a positive chunk.
-        assert auto_batch_size(500, 10**9) == 1
+        assert auto_chunk_size(500, 10**9) == 1
 
     def test_adaptive_equivalence(self, small_power_law):
-        query = ReliabilityQuery(sample_vertex_pairs(small_power_law, 5, rng=2))
-        batched = adaptive_estimate(
-            small_power_law, query, target_width=0.1, rng=11
+        reliability = ReliabilityQuery(
+            sample_vertex_pairs(small_power_law, 5, rng=2)
         )
-        legacy = adaptive_estimate(
-            small_power_law, query, target_width=0.1, rng=11, batched=False
-        )
-        assert batched == legacy
+        # The reliability case runs to convergence under the default
+        # caps; every query class then runs under a cap of 90 worlds,
+        # so both exits of the stopping rule are compared.
+        cases = [(reliability, {})] + [
+            (query, {"max_samples": 90}) for query in all_queries(small_power_law)
+        ]
+        for query, caps in cases:
+            production = adaptive_estimate(
+                small_power_law, query, target_width=0.1, rng=11, **caps
+            )
+            oracle = per_world_adaptive(
+                small_power_law, query, target_width=0.1, rng=11, **caps
+            )
+            # assert_equal: exact, with nan == nan (an undefined width).
+            np.testing.assert_equal(
+                dataclasses.astuple(production), dataclasses.astuple(oracle),
+                err_msg=type(query).__name__,
+            )
 
     def test_stratified_equivalence(self, small_power_law):
-        query = ReliabilityQuery(sample_vertex_pairs(small_power_law, 5, rng=2))
-        estimator = StratifiedEstimator(small_power_law, n_samples=48, r=3)
-        assert estimator.run(query, rng=13) == estimator.run(
-            query, rng=13, batched=False
+        reliability = ReliabilityQuery(
+            sample_vertex_pairs(small_power_law, 5, rng=2)
         )
+        estimator = StratifiedEstimator(small_power_law, n_samples=48, r=3)
+        try:
+            for query in [reliability] + all_queries(small_power_law):
+                assert estimator.run(query, rng=13) == per_world_stratified(
+                    estimator, query, rng=13
+                ), type(query).__name__
+        finally:
+            estimator.close()
+
+    def test_adaptive_rejects_non_positive_batch(self, triangle):
+        query = ConnectivityQuery()
+        for batch in (0, -3):
+            with pytest.raises(EstimationError, match="batch"):
+                adaptive_estimate(triangle, query, target_width=0.1, batch=batch)
 
 
 class TestConfidenceWidth:

@@ -244,6 +244,23 @@ class TestEstimate:
         ]) == 1
         assert "--weighted only applies" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs", ["0", "-4"])
+    def test_non_positive_pairs_is_a_one_line_error(self, graph_file, capsys,
+                                                    pairs):
+        assert main([
+            "estimate", str(graph_file), "--query", "reliability",
+            "--samples", "10", "--pairs", pairs,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --pairs must be at least 1")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_no_batch_flag_is_gone(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", str(graph_file), "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-batch" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_diagnose_output(self, graph_file, tmp_path, capsys):

@@ -3,9 +3,9 @@
 Two contracts, both seeded:
 
 - the bit-packed BFS kernel must return **bit-identical** distance
-  matrices to the boolean-frontier kernel — on every topology fixture,
-  with and without the ``targets`` early exit, and for every built-in
-  query class end to end;
+  matrices to the boolean-frontier reference of ``tests/oracles`` — on
+  every topology fixture, with and without the ``targets`` early exit,
+  and for every built-in query class end to end;
 - the batched delta-stepping kernel must match the per-world
   binary-heap Dijkstra reference within float tolerance, including
   unreachable targets and ``w = inf`` (zero-probability) edges, and be
@@ -34,14 +34,14 @@ from repro.queries import (
     sample_vertex_pairs,
 )
 from repro.sampling import (
-    BFS_KERNELS,
-    DEFAULT_BFS_KERNEL,
     MonteCarloEstimator,
     WorldBatch,
     WorldSampler,
     most_probable_path_weights,
 )
-from repro.sampling.kernels import default_bucket_width
+from repro.sampling.kernels import bfs_distances_packed, default_bucket_width
+
+from oracles import BooleanBFSBatch, bfs_distances_boolean, per_world_outcomes
 
 TOPOLOGY_FIXTURES = ("triangle", "path4", "figure1", "small_power_law", "small_sparse")
 
@@ -50,15 +50,16 @@ WORLD_COUNTS = (1, 63, 64, 65)
 
 
 def kernel_batches(graph: UncertainGraph, n_worlds: int, seed: int):
-    """The same seeded mask matrix wrapped once per BFS kernel."""
+    """The same seeded mask matrix as a production (packed BFS) batch and
+    as an oracle (boolean BFS) batch."""
     sampler = WorldSampler(graph)
     masks = sampler.sample_mask_matrix(n_worlds, rng=seed)
     return {
-        name: WorldBatch(
+        name: cls(
             sampler.n, sampler.edge_vertices, masks,
-            edge_weights=sampler.edge_weights, bfs_kernel=name,
+            edge_weights=sampler.edge_weights,
         )
-        for name in BFS_KERNELS
+        for name, cls in (("packed", WorldBatch), ("oracle", BooleanBFSBatch))
     }
 
 
@@ -90,7 +91,7 @@ class TestPackedBFS:
         batches = kernel_batches(graph, n_worlds, seed=seed)
         n = graph.number_of_vertices()
         for source in {0, n // 2, n - 1}:
-            expected = batches["boolean"].bfs_distances(source)
+            expected = batches["oracle"].bfs_distances(source)
             actual = batches["packed"].bfs_distances(source)
             assert np.array_equal(expected, actual)
 
@@ -100,7 +101,7 @@ class TestPackedBFS:
         n = graph.number_of_vertices()
         batches = kernel_batches(graph, 70, seed=11)
         for targets in ([0], [n - 1], [0, n - 1, n // 2]):
-            expected = batches["boolean"].bfs_distances(0, targets=targets)
+            expected = batches["oracle"].bfs_distances(0, targets=targets)
             actual = batches["packed"].bfs_distances(0, targets=targets)
             assert np.array_equal(expected, actual), targets
 
@@ -112,7 +113,7 @@ class TestPackedBFS:
         batches = kernel_batches(graph, 130, seed=2)
         for source in range(graph.number_of_vertices()):
             assert np.array_equal(
-                batches["boolean"].bfs_distances(source),
+                batches["oracle"].bfs_distances(source),
                 batches["packed"].bfs_distances(source),
             )
 
@@ -131,12 +132,12 @@ class TestPackedBFS:
         source = source % n
         batches = kernel_batches(graph, n_worlds, seed=graph_seed + 1)
         assert np.array_equal(
-            batches["boolean"].bfs_distances(source),
+            batches["oracle"].bfs_distances(source),
             batches["packed"].bfs_distances(source),
         )
         targets = [source, (source + 1) % n]
         assert np.array_equal(
-            batches["boolean"].bfs_distances(source, targets=targets),
+            batches["oracle"].bfs_distances(source, targets=targets),
             batches["packed"].bfs_distances(source, targets=targets),
         )
 
@@ -148,27 +149,14 @@ class TestPackedBFS:
                 for name, batch in batches.items()
             }
             assert np.array_equal(
-                results["boolean"], results["packed"], equal_nan=True
+                results["oracle"], results["packed"], equal_nan=True
             ), type(query).__name__
 
     def test_default_kernel_is_packed(self, triangle):
-        assert DEFAULT_BFS_KERNEL == "packed"
         batch = WorldSampler(triangle).sample_batch(5, rng=0)
-        assert batch.bfs_kernel is None  # falls through to the default
-        assert np.array_equal(
-            batch.bfs_distances(0), batch.bfs_distances(0, kernel="boolean")
-        )
-
-    def test_unknown_kernel_rejected(self, triangle):
-        sampler = WorldSampler(triangle)
-        batch = sampler.sample_batch(3, rng=0)
-        with pytest.raises(ValueError):
-            batch.bfs_distances(0, kernel="quantum")
-        with pytest.raises(ValueError):
-            WorldBatch(
-                sampler.n, sampler.edge_vertices, batch.masks,
-                bfs_kernel="quantum",
-            )
+        distances = batch.bfs_distances(0)
+        assert np.array_equal(distances, bfs_distances_packed(batch, 0))
+        assert np.array_equal(distances, bfs_distances_boolean(batch, 0))
 
 
 class TestWeightTransform:
@@ -308,13 +296,13 @@ class TestWeightedQueries:
             ShortestPathQuery(pairs, weighted=True),
             SourceDistanceQuery(0, n, weighted=True),
         ):
-            legacy = MonteCarloEstimator(
-                small_power_law, n_samples=24, batched=False
-            ).run(query, rng=9).outcomes
+            oracle = per_world_outcomes(
+                small_power_law, query, n_samples=24, rng=9
+            ).outcomes
             batched = MonteCarloEstimator(
                 small_power_law, n_samples=24, batch_size=7
             ).run(query, rng=9).outcomes
-            assert np.allclose(legacy, batched, rtol=1e-9, equal_nan=True)
+            assert np.allclose(oracle, batched, rtol=1e-9, equal_nan=True)
 
     def test_weighted_sp_certain_path_is_log_product(self):
         # On an all-certain path the most probable path has probability

@@ -6,7 +6,8 @@ submission order, so the outcome matrix is a pure function of
 ``(seed, boundaries)`` — never of the pool schedule or worker count.
 
 - sequential mode must be *bit-identical* to the serial batched path
-  (and hence the legacy per-world loop) for every query class,
+  (and to the per-world reference loop of ``tests/oracles``) for every
+  query class,
 - spawn mode must be invariant to ``workers`` (though its stream
   intentionally differs from the sequential one),
 - a pool that cannot start (or breaks mid-run) must fall back
@@ -15,6 +16,7 @@ submission order, so the outcome matrix is a pure function of
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import warnings
 
@@ -42,12 +44,19 @@ from repro.sampling import (
     ParallelBatchExecutor,
     StratifiedEstimator,
     adaptive_estimate,
-    auto_batch_size,
+    auto_chunk_size,
     chunk_counts,
     repeated_estimates,
     resolve_workers,
 )
 import repro.sampling.parallel as parallel_module
+
+from oracles import (
+    per_world_adaptive,
+    per_world_outcomes,
+    per_world_repeated_estimates,
+    per_world_stratified,
+)
 
 N_SAMPLES = 18  # deliberately not a multiple of the chunk sizes below
 CHUNK = 5
@@ -85,16 +94,14 @@ def run_outcomes(graph, query, workers, batch_size=CHUNK, n_samples=N_SAMPLES):
 
 
 class TestSeededDeterminism:
-    """workers=1 ≡ workers=2 ≡ workers=4 ≡ PR-1 batched ≡ legacy, bit for bit."""
+    """workers=1 ≡ workers=2 ≡ workers=4 ≡ per-world oracle, bit for bit."""
 
     def test_every_query_class_identical_across_worker_counts(self, graph):
         for query in all_query_classes(graph):
             serial = run_outcomes(graph, query, workers=1)
-            legacy = MonteCarloEstimator(
-                graph, n_samples=N_SAMPLES, batched=False
-            ).run(query, rng=7).outcomes
-            assert np.array_equal(serial, legacy, equal_nan=True), (
-                f"{type(query).__name__}: serial executor != legacy per-world"
+            oracle = per_world_outcomes(graph, query, N_SAMPLES, rng=7).outcomes
+            assert np.array_equal(serial, oracle, equal_nan=True), (
+                f"{type(query).__name__}: serial executor != per-world oracle"
             )
             for workers in (2, 4):
                 pooled = run_outcomes(graph, query, workers=workers)
@@ -157,38 +164,62 @@ class TestSpawnMode:
 
 
 class TestEstimatorLayers:
-    """Every estimator entry point is invariant to the workers knob."""
+    """Every estimator entry point is invariant to the workers knob and
+    equal to its per-world oracle."""
 
     def test_adaptive_estimate(self, graph):
-        query = ReliabilityQuery(sample_vertex_pairs(graph, 5, rng=2))
-        serial = adaptive_estimate(graph, query, target_width=0.1, rng=11)
-        pooled = adaptive_estimate(
-            graph, query, target_width=0.1, rng=11, workers=3
-        )
-        assert serial == pooled
+        reliability = ReliabilityQuery(sample_vertex_pairs(graph, 5, rng=2))
+        # Every query class under a 60-world cap (some converge, some
+        # hit the cap), plus the uncapped reliability case.
+        cases = [(reliability, {})] + [
+            (query, {"max_samples": 60}) for query in all_query_classes(graph)
+        ]
+        for query, caps in cases:
+            serial = adaptive_estimate(
+                graph, query, target_width=0.1, rng=11, **caps
+            )
+            pooled = adaptive_estimate(
+                graph, query, target_width=0.1, rng=11, workers=3, **caps
+            )
+            oracle = per_world_adaptive(
+                graph, query, target_width=0.1, rng=11, **caps
+            )
+            # assert_equal: exact, with nan == nan (an undefined width).
+            for other in (pooled, oracle):
+                np.testing.assert_equal(
+                    dataclasses.astuple(serial), dataclasses.astuple(other),
+                    err_msg=type(query).__name__,
+                )
 
     def test_stratified(self, graph):
-        query = ReliabilityQuery(sample_vertex_pairs(graph, 5, rng=2))
+        reliability = ReliabilityQuery(sample_vertex_pairs(graph, 5, rng=2))
         estimator = StratifiedEstimator(graph, n_samples=48, r=3)
         try:
-            serial = estimator.run(query, rng=13)
-            pooled = estimator.run(query, rng=13, workers=3)
-            repeat = estimator.run(query, rng=13, workers=3)  # reuses the pool
-            legacy = estimator.run(query, rng=13, batched=False)
+            for query in [reliability] + all_query_classes(graph):
+                serial = estimator.run(query, rng=13)
+                pooled = estimator.run(query, rng=13, workers=3)
+                repeat = estimator.run(query, rng=13, workers=3)  # reuses the pool
+                oracle = per_world_stratified(estimator, query, rng=13)
+                assert serial == pooled == repeat == oracle, type(query).__name__
         finally:
             estimator.close()
-        assert serial == pooled == repeat == legacy
 
     def test_repeated_estimates(self, graph):
-        query = DegreeQuery(graph.number_of_vertices())
-        serial = repeated_estimates(
-            graph, query, runs=4, n_samples=12, rng=5, batch_size=CHUNK
-        )
-        pooled = repeated_estimates(
-            graph, query, runs=4, n_samples=12, rng=5, batch_size=CHUNK,
-            workers=2,
-        )
-        assert np.array_equal(serial, pooled)
+        # 30 worlds per run: with fewer, a run can see every SP pair
+        # disconnected and have no defined scalar.
+        for query in all_query_classes(graph):
+            serial = repeated_estimates(
+                graph, query, runs=4, n_samples=30, rng=5, batch_size=CHUNK
+            )
+            pooled = repeated_estimates(
+                graph, query, runs=4, n_samples=30, rng=5, batch_size=CHUNK,
+                workers=2,
+            )
+            oracle = per_world_repeated_estimates(
+                graph, query, runs=4, n_samples=30, rng=5
+            )
+            assert np.array_equal(serial, pooled), type(query).__name__
+            assert np.array_equal(serial, oracle), type(query).__name__
 
     def test_estimator_reuses_executor_across_runs(self, graph):
         query = DegreeQuery(graph.number_of_vertices())
@@ -256,7 +287,7 @@ class TestPoolFailureFallback:
 
 
 class TestAutoBatchSizeProperties:
-    """Edge-case boundaries of the chunk sizing shared by both paths."""
+    """Edge-case boundaries of :func:`auto_chunk_size`."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -268,7 +299,7 @@ class TestAutoBatchSizeProperties:
     def test_always_a_positive_chunk_within_the_run(
         self, n_samples, n_edges, n_vertices, budget
     ):
-        chunk = auto_batch_size(
+        chunk = auto_chunk_size(
             n_samples, n_edges, n_vertices=n_vertices, budget_bytes=budget
         )
         assert 1 <= chunk <= max(1, n_samples)
@@ -280,10 +311,10 @@ class TestAutoBatchSizeProperties:
         n_vertices=st.integers(min_value=0, max_value=10**5),
     )
     def test_monotone_in_budget(self, n_samples, n_edges, n_vertices):
-        small = auto_batch_size(
+        small = auto_chunk_size(
             n_samples, n_edges, n_vertices=n_vertices, budget_bytes=1
         )
-        large = auto_batch_size(
+        large = auto_chunk_size(
             n_samples, n_edges, n_vertices=n_vertices, budget_bytes=2**40
         )
         assert small <= large
@@ -291,11 +322,11 @@ class TestAutoBatchSizeProperties:
         assert large == n_samples  # unbounded budget takes the whole run
 
     def test_empty_and_tiny_graphs(self):
-        assert auto_batch_size(100, 0, n_vertices=0) == 100
-        assert auto_batch_size(0, 0, n_vertices=0) == 1
-        assert auto_batch_size(7, 1, n_vertices=1) == 7
+        assert auto_chunk_size(100, 0, n_vertices=0) == 100
+        assert auto_chunk_size(0, 0, n_vertices=0) == 1
+        assert auto_chunk_size(7, 1, n_vertices=1) == 7
         # A world bigger than the whole budget still gets a chunk of 1.
-        assert auto_batch_size(500, 10**9, budget_bytes=1) == 1
+        assert auto_chunk_size(500, 10**9, budget_bytes=1) == 1
 
 
 class TestChunkCounts:

@@ -333,11 +333,20 @@ class TestHTTPSurface:
     def test_bad_knobs_rejected_before_queueing(self, server, dataset):
         submitted = server.service.queue.stats()["submitted"]
         base = {"dataset": dataset, "alpha": 0.4, "variant": "EMD^A"}
+        estimate = {"dataset": dataset, "query": "reliability",
+                    "samples": 20, "pairs": 3}
         for path, document in (
             ("/sparsify", {**base, "emd_mode": "bogus"}),
             ("/sparsify", {**base, "lp_solver": "simplex"}),
             ("/sparsify", {**base, "engine": "loop"}),
             ("/grid", {"dataset": dataset, "engine": "vector"}),
+            # int() would run 2 worlds for 2.9 and 1 for true, and key
+            # seed 1.5 as seed 1: integer fields take JSON integers only.
+            ("/estimate", {**estimate, "samples": 2.9}),
+            ("/estimate", {**estimate, "samples": True}),
+            ("/estimate", {**estimate, "seed": 1.5}),
+            ("/estimate", {**estimate, "pairs": "3"}),
+            ("/estimate", {**estimate, "pairs": 0}),
         ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._post(server, path, document)
