@@ -4,9 +4,10 @@ A fig05-style ``(alpha, h)`` ladder on a ~10k-edge Forest-Fire sample of
 a Flickr-style topology (the paper's "Flickr reduced" construction).
 Backbone construction for the whole ladder, per-call reference vs plan:
 
-- **reference** — one :func:`bgi_backbone_legacy` per alpha (what the
-  pre-plan grid driver paid: a fresh scalar Kruskal + spanning peels +
-  Monte-Carlo top-up per alpha; ``h`` cells already shared backbones).
+- **reference** — one ``bgi_backbone_legacy`` per alpha, the scalar
+  oracle from ``tests/oracles`` (what the pre-plan grid driver paid: a
+  fresh scalar Kruskal + spanning peels + Monte-Carlo top-up per alpha;
+  ``h`` cells already shared backbones).
 - **plan** — one :class:`BackbonePlan` for the graph: a single stable
   argsort + vectorised nested Kruskal peels, then each alpha is a
   peel-prefix slice plus its seeded top-up.
@@ -17,6 +18,10 @@ The speedup gate (``MIN_SPEEDUP``, default 3x) is timing-based and
 therefore core-count-aware — it skips itself on single-core machines;
 CI relaxes it via ``REPRO_BENCH_BACKBONE_MIN_SPEEDUP`` for noisy shared
 runners.
+
+Run from the repository root (it imports ``tests.oracles``)::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_backbone_plan.py
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.backbone import BackbonePlan, bgi_backbone_legacy
+from repro.core.backbone import BackbonePlan
 from repro.datasets import flickr_like, forest_fire_sample
 from repro.experiments.common import ResultTable
+from tests.oracles import bgi_backbone_legacy
 
 #: Acceptance floor for plan-vs-reference ladder construction (measured
 #: ~8-30x single-core; CI overrides for noisy shared runners).

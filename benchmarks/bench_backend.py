@@ -5,23 +5,18 @@ kernels on a ~5k-edge Flickr-style ensemble and a GDB sweep workload,
 and archives machine-readable results as
 ``benchmarks/results/BENCH_backend.json``.
 
-Gates, in order of strictness:
+Gates:
 
-- **Bit-identity (always):** ``backend="numpy"`` — the reference — must
-  return byte-identical BFS/weighted distance matrices to the default
-  path, and the portable xp formulations themselves (run through an
+- **Bit-identity:** ``backend="numpy"`` — the reference — must return
+  byte-identical BFS/weighted distance matrices to the default path,
+  and the portable xp formulations themselves (run through an
   array-API adapter over the NumPy namespace) must match BFS *exactly*
   and weighted distances within ``1e-9``.
-- **Sweep tolerance (always):** the DeviceSweep GDB path must converge
-  to the host engine's objective within ``1e-6``.
-- **Device speedup (only with a device backend present):** when
-  ``torch:cuda`` or ``cupy`` resolves, the device BFS must beat the
-  host reference by ``REPRO_BENCH_BACKEND_MIN_SPEEDUP`` (default 1.0 —
-  i.e. "not slower"; raise it on real hardware).  Skipped on CPU-only
-  machines; the equivalence gates above still ran.
+- **Sweep tolerance:** the DeviceSweep GDB path must converge to the
+  host engine's objective within ``1e-6``.
 
-Timings for every locally-available backend are archived either way, so
-the JSON doubles as a portability report for CPU-only CI.
+Timings for every locally-available backend are archived, so the JSON
+doubles as a portability report.
 """
 
 from __future__ import annotations
@@ -40,14 +35,8 @@ from repro.core.gdb import GDBConfig, gdb_refine
 from repro.datasets import flickr_like
 from repro.sampling import WorldSampler
 
-#: Device-over-host floor, consulted only when a CUDA/CuPy backend is
-#: actually resolvable on this machine.
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_BACKEND_MIN_SPEEDUP", "1.0"))
-
 N_WORLDS = int(os.environ.get("REPRO_BENCH_BACKEND_WORLDS", "128"))
 N_SOURCES = 4
-
-DEVICE_BACKENDS = ("torch:cuda", "cupy")
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +101,6 @@ def test_bench_backend(sampler, emit_json):
         batch = sampler.sample_batch(N_WORLDS, rng=3, backend=name)
         timings[name] = _time_distances(batch, sources)
 
-    devices = [n for n in DEVICE_BACKENDS if n in available_backends()]
-    speedups = {
-        name: reference_s / max(timings[name], 1e-12) for name in devices
-    }
-
     payload = {
         "workload": {
             "n_vertices": 400,
@@ -126,8 +110,6 @@ def test_bench_backend(sampler, emit_json):
         },
         "available_backends": list(available_backends()),
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
-        "device_speedups": {k: round(v, 4) for k, v in speedups.items()},
-        "min_speedup_gate": MIN_SPEEDUP,
         "gates": {
             "numpy_bit_identical": True,
             "portable_bfs_exact": True,
@@ -137,14 +119,3 @@ def test_bench_backend(sampler, emit_json):
         },
     }
     emit_json("backend", payload)
-
-    if not devices:
-        pytest.skip(
-            "no device backend (torch:cuda / cupy) on this machine; "
-            "equivalence gates ran, speedup gate skipped"
-        )
-    for name in devices:
-        assert speedups[name] >= MIN_SPEEDUP, (
-            f"{name} speedup {speedups[name]:.2f}x below the "
-            f"{MIN_SPEEDUP}x floor"
-        )

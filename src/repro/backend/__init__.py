@@ -1,10 +1,15 @@
 """Backend registry: name -> :class:`~repro.backend.base.ArrayBackend`.
 
-``import repro.backend`` stays cheap: optional libraries (torch, CuPy,
-``array_api_strict``) are *probed* with ``importlib.util.find_spec`` to
-decide availability, but imported only when a backend is first resolved.
-Resolved backends are singletons per name, so the cache ``key`` a live
-``WorldBatch`` stores device arrays under is stable across calls.
+Three backends are registered: the NumPy reference (``"numpy"``), the
+instrumented CPU test double (``"instrumented"``), and
+``"array_api_strict"`` through the generic array-API adapter.
+``import repro.backend`` stays cheap: the optional ``array_api_strict``
+is *probed* with ``importlib.util.find_spec`` to decide availability,
+but imported only when it is first resolved.  Any other library that
+exposes the array-API standard plugs in as an
+:class:`~repro.backend.array_api.ArrayAPIBackend` instance.  Resolved
+backends are singletons per name, so the cache ``key`` a live
+``WorldBatch`` stores backend arrays under is stable across calls.
 
 Public surface:
 
@@ -39,24 +44,6 @@ __all__ = [
 ]
 
 
-def _make_torch() -> ArrayBackend:
-    from .torch_backend import TorchBackend
-
-    return TorchBackend("cpu")
-
-
-def _make_torch_cuda() -> ArrayBackend:
-    from .torch_backend import TorchBackend
-
-    return TorchBackend("cuda")
-
-
-def _make_cupy() -> ArrayBackend:
-    from .cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 def _make_array_api_strict() -> ArrayBackend:
     namespace = importlib.import_module("array_api_strict")
     return ArrayAPIBackend(namespace, name="array_api_strict")
@@ -69,22 +56,11 @@ def _has_module(module: str) -> bool:
         return False
 
 
-def _torch_cuda_available() -> bool:
-    if not _has_module("torch"):
-        return False
-    import torch
-
-    return bool(torch.cuda.is_available())
-
-
 #: name -> (availability probe, factory).  Probes must be cheap; factories
-#: may import heavyweight libraries.
+#: may import the optional library.
 _FACTORIES = {
     "numpy": (lambda: True, NumpyBackend),
     "instrumented": (lambda: True, InstrumentedBackend),
-    "torch": (lambda: _has_module("torch"), _make_torch),
-    "torch:cuda": (_torch_cuda_available, _make_torch_cuda),
-    "cupy": (lambda: _has_module("cupy"), _make_cupy),
     "array_api_strict": (lambda: _has_module("array_api_strict"), _make_array_api_strict),
 }
 

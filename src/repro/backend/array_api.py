@@ -12,7 +12,8 @@ Used two ways:
 
 The scatter primitives are not in the array-API standard, so this
 backend round-trips them through host NumPy — correct everywhere,
-fast nowhere; dedicated backends override them with device kernels.
+fast nowhere; a subclass for a specific library can override them
+with native scatter kernels.
 """
 
 from __future__ import annotations

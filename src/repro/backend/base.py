@@ -3,8 +3,8 @@
 The traversal kernels (:mod:`repro.sampling.kernels`) and the GDB sweep
 engine (:mod:`repro.core.sweep`) are pure array programs.  This module
 defines the *curated* operation surface they are written against —
-:class:`ArrayBackend` — so the same kernel source runs on NumPy, CuPy,
-torch, or any array-API namespace.  The contract is deliberately small:
+:class:`ArrayBackend` — so the same kernel source runs on NumPy or any
+array-API namespace.  The contract is deliberately small:
 
 - **NumPy semantics are the spec.**  Every op is defined by what the
   NumPy reference backend does; other backends may compute however they
@@ -55,10 +55,10 @@ class ArrayBackend:
     Attributes
     ----------
     name:
-        Registry name (``"numpy"``, ``"torch"``, ...).
+        Registry name (``"numpy"``, ``"instrumented"``, ...).
     device:
-        ``"cpu"`` or ``"cuda"`` — informational, and the trigger for
-        device-memory-aware chunk autosizing.
+        Where the arrays live (``"cpu"`` for every registered backend)
+        — part of the cache :attr:`key`.
     is_reference:
         ``True`` only for the NumPy reference backend: batch methods
         then dispatch to the existing specialised kernels (packed

@@ -3,15 +3,15 @@
 ``InstrumentedBackend`` wraps the NumPy op implementations but
 
 - reports ``is_reference = False``, so every consumer takes the *portable*
-  ``xp`` kernel path (exactly what a GPU backend would run) while staying
+  ``xp`` kernel path (exactly what any non-reference backend runs) while staying
   runnable on CPU-only CI;
 - records every shim call in a :class:`collections.Counter`, so tests can
   assert the kernels actually routed their work through the shim (e.g.
   "this BFS performed N ``scatter_or_cols`` calls and zero raw-NumPy
   escapes would have gone unrecorded");
 - defaults creation ops to **non-default dtypes** (float32 / int32) when a
-  kernel omits ``dtype=``.  Real devices default differently than NumPy
-  (torch: float32), so any kernel relying on implicit dtypes produces
+  kernel omits ``dtype=``.  Other array libraries default differently
+  than NumPy (often float32), so any kernel relying on implicit dtypes produces
   visibly wrong precision here and fails the conformance equality gates
   instead of silently passing on CPU and breaking on device.
 """

@@ -75,9 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--backend", default="numpy",
             help=f"array backend for the {what}: 'numpy' (default, the "
-            "bit-identical reference) or any name from "
-            "repro.backend.available_backends() — e.g. 'torch', 'cupy' "
-            "when installed",
+            "bit-identical reference), 'instrumented', or any other name "
+            "from repro.backend.available_backends() — e.g. "
+            "'array_api_strict' when installed",
         )
 
     sparsify_cmd = sub.add_parser("sparsify", help="sparsify an edge-list file")

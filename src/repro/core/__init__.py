@@ -13,10 +13,8 @@ Public surface:
 from repro.core.backbone import (
     BackbonePlan,
     bgi_backbone,
-    bgi_backbone_legacy,
     build_backbone,
     local_degree_backbone,
-    maximum_spanning_forest,
     random_backbone,
     target_edge_count,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "VariantSpec",
     "available_variants",
     "bgi_backbone",
-    "bgi_backbone_legacy",
     "build_backbone",
     "build_sweep_plan",
     "check_budget",
@@ -95,7 +92,6 @@ __all__ = [
     "local_degree_backbone",
     "lp_assign_probabilities",
     "lp_sparsify",
-    "maximum_spanning_forest",
     "objective_rows",
     "parse_variant",
     "random_backbone",

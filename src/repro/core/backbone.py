@@ -27,11 +27,12 @@ vectorised multi-peel Kruskal (on
 :class:`repro.utils.unionfind.ArrayUnionFind`) that labels every edge
 with its *forest-peel rank*, after which the backbone for **any**
 ``alpha`` is a prefix slice of the peel order plus the seeded
-Monte-Carlo top-up.  Backbones produced through a plan are bit-identical
-to the per-call reference builder (:func:`bgi_backbone_legacy`) for the
-same ``(alpha, seed)``, and backbones for nested alphas share their
-forest prefix (``alpha_1 <= alpha_2`` implies the ``alpha_1`` forest
-prefix is a prefix of the ``alpha_2`` one).
+Monte-Carlo top-up.  Every builder runs through a plan — the
+module-level functions below build a throwaway one when none is passed
+— and backbones for nested alphas share their forest prefix
+(``alpha_1 <= alpha_2`` implies the ``alpha_1`` forest prefix is a
+prefix of the ``alpha_2`` one).  The per-call scalar builders the plan
+is pinned bit-identical against live in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ import numpy as np
 from repro.core.uncertain_graph import UncertainGraph
 from repro.exceptions import SparsificationError
 from repro.utils.rng import ensure_rng
-from repro.utils.unionfind import ArrayUnionFind, UnionFind
+from repro.utils.unionfind import ArrayUnionFind
+
+#: Backbone constructions :func:`build_backbone` dispatches on.
+BACKBONE_METHODS = ("bgi", "random", "local_degree", "t_bundle")
 
 
 def target_edge_count(m: int, alpha: float) -> int:
@@ -62,79 +66,6 @@ def _as_edge_ids(ids) -> np.ndarray:
     return arr
 
 
-def maximum_spanning_forest(
-    n: int,
-    candidate_ids: np.ndarray,
-    edge_vertices: np.ndarray,
-    probabilities: np.ndarray,
-) -> np.ndarray:
-    """Kruskal maximum spanning forest over a subset of edges.
-
-    Parameters
-    ----------
-    n:
-        Number of vertices (dense ids ``0..n-1``).
-    candidate_ids:
-        Edge ids eligible for the forest.
-    edge_vertices:
-        ``(m, 2)`` array of endpoints for *all* edges (indexed by id).
-    probabilities:
-        Weight of every edge (indexed by id); higher is kept first.
-
-    Returns
-    -------
-    numpy.ndarray
-        Read-only int64 ids of the forest edges in acceptance order
-        (maximal: one tree per connected component of the candidate
-        subgraph).
-    """
-    order = np.argsort(-probabilities[candidate_ids], kind="stable")
-    uf = UnionFind(n)
-    forest: list[int] = []
-    for idx in order:
-        eid = int(candidate_ids[idx])
-        u, v = edge_vertices[eid]
-        if uf.union(int(u), int(v)):
-            forest.append(eid)
-    return _as_edge_ids(forest)
-
-
-def _mc_top_up(
-    chosen: list[int],
-    remaining: set[int],
-    probabilities: np.ndarray,
-    target: int,
-    rng: np.random.Generator,
-    max_passes: int = 10_000,
-) -> None:
-    """Fill ``chosen`` up to ``target`` by sampling ``remaining`` edges.
-
-    Repeated passes over a random permutation, keeping each edge with
-    its probability (Algorithm 1, lines 7-11).  Because every
-    probability is strictly positive the loop terminates with
-    probability 1; a deterministic fallback guards against pathological
-    RNG streaks.
-    """
-    passes = 0
-    while len(chosen) < target and remaining:
-        passes += 1
-        if passes > max_passes:
-            # Deterministic fallback: take the highest-probability leftovers.
-            leftovers = sorted(remaining, key=lambda e: -probabilities[e])
-            for eid in leftovers[: target - len(chosen)]:
-                chosen.append(eid)
-                remaining.discard(eid)
-            return
-        order = rng.permutation(np.fromiter(remaining, dtype=np.int64, count=len(remaining)))
-        draws = rng.random(len(order))
-        for eid, draw in zip(order, draws):
-            if draw < probabilities[eid]:
-                chosen.append(int(eid))
-                remaining.discard(int(eid))
-                if len(chosen) >= target:
-                    return
-
-
 def _mc_top_up_array(
     parts: list[np.ndarray],
     count: int,
@@ -144,20 +75,22 @@ def _mc_top_up_array(
     rng: np.random.Generator,
     max_passes: int = 10_000,
 ) -> int:
-    """Array twin of :func:`_mc_top_up`; appends pick batches to ``parts``.
+    """Monte-Carlo top-up (Algorithm 1, lines 7-11); appends pick batches to ``parts``.
 
-    Draw-for-draw identical to the scalar reference: each pass consumes
-    one ``rng.permutation`` over the ascending remaining ids plus one
-    ``rng.random`` block, and keeps accepted edges in permutation order
-    (``remaining`` must be sorted ascending — the iteration order of the
-    reference's ``set`` of dense edge ids).  Returns the new count.
+    Repeated passes over a random permutation of the ``remaining`` ids
+    (sorted ascending), keeping each edge with its probability until
+    ``target`` edges are chosen.  Each pass consumes one
+    ``rng.permutation`` plus one ``rng.random`` block and keeps accepted
+    edges in permutation order.  Every probability is strictly positive,
+    so the loop ends with probability 1; a deterministic fallback guards
+    against pathological RNG streaks.  Returns the new count.
     """
     passes = 0
     while count < target and len(remaining):
         passes += 1
         if passes > max_passes:
-            # Deterministic fallback, ties broken by ascending edge id
-            # exactly like the reference's stable sort.
+            # Deterministic fallback: the highest-probability leftovers,
+            # ties broken by ascending edge id.
             order = np.argsort(-probabilities[remaining], kind="stable")
             take = remaining[order[: target - count]]
             parts.append(take)
@@ -240,11 +173,10 @@ class BackbonePlan:
     the peel order — truncated by Algorithm 1's spanning budget — plus
     the seeded Monte-Carlo top-up.  Guarantees:
 
-    - **determinism** — ``plan.backbone(alpha, rng=seed)`` is
-      bit-identical to the per-call reference
-      (:func:`bgi_backbone_legacy` / the scalar ``random`` and
-      ``local_degree`` builders) for every ``(alpha, seed)``; results
-      for int seeds are memoised, so repeated requests are free;
+    - **determinism** — ``plan.backbone(alpha, rng=seed)`` is a pure
+      function of ``(graph, method, alpha, seed, kwargs)``, independent
+      of plan history; results for int seeds are memoised, so repeated
+      requests are free;
     - **nesting** — for ``alpha_1 <= alpha_2`` (same
       ``spanning_fraction`` / ``max_forests``) the forest prefix of the
       ``alpha_1`` backbone is a prefix of the ``alpha_2`` one;
@@ -582,6 +514,8 @@ class BackbonePlan:
         given ``(method, alpha, seed)``), so ladder drivers that re-seed
         per alpha get each cell's backbone exactly once.
         """
+        if method not in BACKBONE_METHODS:
+            raise ValueError(f"unknown backbone method: {method!r}")
         if method == "bgi":
             # Normalise the spanning knobs so explicit defaults and
             # omitted kwargs share one cache key.
@@ -661,150 +595,10 @@ class BackbonePlan:
                 self._local_degree_order = _local_degree_order(self.graph)
             target = target_edge_count(self.m, alpha)
             return _as_edge_ids(self._local_degree_order[:target])
-        # Methods without a plan formulation (t_bundle) fall back to the
-        # per-call builder.
-        return build_backbone(self.graph, alpha, method=method, rng=rng, **kwargs)
+        # t_bundle: spanner layers have no alpha-free plan formulation.
+        from repro.core.tbundle import t_bundle_backbone
 
-
-def bgi_backbone(
-    graph: UncertainGraph,
-    alpha: float,
-    rng: "int | np.random.Generator | None" = None,
-    spanning_fraction: float = 0.5,
-    max_forests: int = 6,
-    plan: "BackbonePlan | None" = None,
-) -> np.ndarray:
-    """Backbone Graph Initialisation (Algorithm 1).
-
-    Returns the ids of ``alpha |E|`` edges as a read-only int64 array:
-    first the union of maximum spanning forests (connectivity backbone),
-    then Monte-Carlo top-up.  Runs through a :class:`BackbonePlan`
-    (pass ``plan`` to reuse one across calls); results are bit-identical
-    to the per-call reference :func:`bgi_backbone_legacy`.
-
-    Parameters
-    ----------
-    graph:
-        The uncertain graph to sparsify.
-    alpha:
-        Sparsification ratio in ``(0, 1)``.
-    rng:
-        Seed / generator for the Monte-Carlo top-up.
-    spanning_fraction:
-        Fraction of the budget that may be filled by spanning forests
-        (the paper's ``0.5 alpha`` rule).
-    max_forests:
-        Stop peeling forests after this many (the paper's "first six").
-    plan:
-        Optional precomputed plan for ``graph``; built on the fly when
-        omitted.
-
-    Raises
-    ------
-    SparsificationError
-        If ``alpha |E|`` is smaller than a single spanning tree, i.e.
-        ``alpha < (|V| - 1) / |E|`` for a connected graph (the paper's
-        footnote 7 assumption).
-    """
-    if plan is None:
-        plan = BackbonePlan(graph)
-    elif plan.graph is not graph:
-        raise ValueError("backbone plan was built for a different graph")
-    return plan.backbone(
-        alpha, method="bgi", rng=rng,
-        spanning_fraction=spanning_fraction, max_forests=max_forests,
-    )
-
-
-def bgi_backbone_legacy(
-    graph: UncertainGraph,
-    alpha: float,
-    rng: "int | np.random.Generator | None" = None,
-    spanning_fraction: float = 0.5,
-    max_forests: int = 6,
-) -> np.ndarray:
-    """Per-call reference implementation of Algorithm 1.
-
-    The scalar list-and-set construction :func:`bgi_backbone` used before
-    the plan refactor; kept as the seeded-equivalence oracle the plan
-    path is regression-pinned against.
-    """
-    rng = ensure_rng(rng)
-    m = graph.number_of_edges()
-    n = graph.number_of_vertices()
-    target = target_edge_count(m, alpha)
-    edge_vertices = graph.edge_index_array()
-    probabilities = np.array(graph.probability_array())
-
-    remaining = set(range(m))
-    chosen: list[int] = []
-
-    # First forest: a maximum spanning tree (of each component).
-    first = maximum_spanning_forest(
-        n, np.fromiter(remaining, dtype=np.int64, count=len(remaining)),
-        edge_vertices, probabilities,
-    )
-    if len(first) > target:
-        raise SparsificationError(
-            f"alpha={alpha} keeps {target} edges but a spanning forest needs "
-            f"{len(first)}; connectivity cannot be preserved "
-            f"(require alpha >= (|V|-1)/|E|)"
-        )
-    chosen.extend(int(e) for e in first)
-    remaining.difference_update(chosen)
-
-    spanning_budget = int(spanning_fraction * alpha * m)
-    forests_built = 1
-    while (
-        len(chosen) < spanning_budget
-        and forests_built < max_forests
-        and remaining
-        and len(chosen) < target
-    ):
-        forest = [
-            int(e) for e in maximum_spanning_forest(
-                n, np.fromiter(remaining, dtype=np.int64, count=len(remaining)),
-                edge_vertices, probabilities,
-            )
-        ]
-        if not forest:
-            break
-        if len(chosen) + len(forest) > target:
-            forest = forest[: target - len(chosen)]
-        chosen.extend(forest)
-        remaining.difference_update(forest)
-        forests_built += 1
-
-    _mc_top_up(chosen, remaining, probabilities, target, rng)
-    return _as_edge_ids(chosen)
-
-
-def random_backbone(
-    graph: UncertainGraph,
-    alpha: float,
-    rng: "int | np.random.Generator | None" = None,
-    plan: "BackbonePlan | None" = None,
-) -> np.ndarray:
-    """Random backbone: Monte-Carlo edge sampling until ``alpha |E|`` edges.
-
-    This is the backbone of the non-``t`` variants in section 6.1 (and
-    the deterministic-graph heuristic of [24]): connectivity is *not*
-    guaranteed.  Returns a read-only int64 edge-id array.
-    """
-    if plan is not None:
-        if plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        return plan.backbone(alpha, method="random", rng=rng)
-    rng = ensure_rng(rng)
-    m = graph.number_of_edges()
-    target = target_edge_count(m, alpha)
-    probabilities = np.array(graph.probability_array())
-    parts: list[np.ndarray] = []
-    _mc_top_up_array(
-        parts, 0, np.arange(m, dtype=np.int64), probabilities, target, rng
-    )
-    joined = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return _as_edge_ids(joined)
+        return t_bundle_backbone(self.graph, alpha, rng=rng, **kwargs)
 
 
 def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
@@ -840,6 +634,89 @@ def _local_degree_order(graph: UncertainGraph) -> np.ndarray:
     )
 
 
+def build_backbone(
+    graph: UncertainGraph,
+    alpha: float,
+    method: str = "bgi",
+    rng: "int | np.random.Generator | None" = None,
+    plan: "BackbonePlan | None" = None,
+    **kwargs,
+) -> np.ndarray:
+    """Dispatch on backbone construction method.
+
+    ``method`` is one of :data:`BACKBONE_METHODS`: ``"bgi"`` (Algorithm
+    1, the ``-t`` variants), ``"random"`` (Monte-Carlo sampling),
+    ``"local_degree"`` ([24]) or ``"t_bundle"`` (edge-disjoint spanner
+    layers, footnote 8 / [21]).  Returns a read-only int64 edge-id
+    array.  Pass ``plan`` (a :class:`BackbonePlan` for ``graph``) to
+    share the Kruskal peel work — and, for int seeds, the backbones
+    themselves — across calls; without one a throwaway plan is built.
+    """
+    if plan is not None and plan.graph is not graph:
+        raise ValueError("backbone plan was built for a different graph")
+    return (plan or BackbonePlan(graph)).backbone(
+        alpha, method=method, rng=rng, **kwargs
+    )
+
+
+def bgi_backbone(
+    graph: UncertainGraph,
+    alpha: float,
+    rng: "int | np.random.Generator | None" = None,
+    spanning_fraction: float = 0.5,
+    max_forests: int = 6,
+    plan: "BackbonePlan | None" = None,
+) -> np.ndarray:
+    """Backbone Graph Initialisation (Algorithm 1).
+
+    Returns the ids of ``alpha |E|`` edges as a read-only int64 array:
+    first the union of maximum spanning forests (connectivity backbone),
+    then Monte-Carlo top-up.
+
+    Parameters
+    ----------
+    graph:
+        The uncertain graph to sparsify.
+    alpha:
+        Sparsification ratio in ``(0, 1)``.
+    rng:
+        Seed / generator for the Monte-Carlo top-up.
+    spanning_fraction:
+        Fraction of the budget that may be filled by spanning forests
+        (the paper's ``0.5 alpha`` rule).
+    max_forests:
+        Stop peeling forests after this many (the paper's "first six").
+    plan:
+        Optional precomputed plan for ``graph``; built on the fly when
+        omitted.
+
+    Raises
+    ------
+    SparsificationError
+        If ``alpha |E|`` is smaller than a single spanning tree, i.e.
+        ``alpha < (|V| - 1) / |E|`` for a connected graph (the paper's
+        footnote 7 assumption).
+    """
+    return build_backbone(graph, alpha, "bgi", rng, plan,
+                          spanning_fraction=spanning_fraction,
+                          max_forests=max_forests)
+
+
+def random_backbone(
+    graph: UncertainGraph,
+    alpha: float,
+    rng: "int | np.random.Generator | None" = None,
+    plan: "BackbonePlan | None" = None,
+) -> np.ndarray:
+    """Random backbone: Monte-Carlo edge sampling until ``alpha |E|`` edges.
+
+    This is the backbone of the non-``t`` variants in section 6.1 (and
+    the deterministic-graph heuristic of [24]): connectivity is *not*
+    guaranteed.  Returns a read-only int64 edge-id array.
+    """
+    return build_backbone(graph, alpha, "random", rng, plan)
+
+
 def local_degree_backbone(
     graph: UncertainGraph,
     alpha: float,
@@ -852,44 +729,4 @@ def local_degree_backbone(
     budget fills.  Deterministic; the nomination ranking is alpha-free,
     so a :class:`BackbonePlan` computes it once and slices per alpha.
     """
-    if plan is not None:
-        if plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        return plan.backbone(alpha, method="local_degree")
-    m = graph.number_of_edges()
-    target = target_edge_count(m, alpha)
-    return _as_edge_ids(_local_degree_order(graph)[:target])
-
-
-def build_backbone(
-    graph: UncertainGraph,
-    alpha: float,
-    method: str = "bgi",
-    rng: "int | np.random.Generator | None" = None,
-    plan: "BackbonePlan | None" = None,
-    **kwargs,
-) -> np.ndarray:
-    """Dispatch on backbone construction method.
-
-    ``method`` is one of ``"bgi"`` (Algorithm 1, the ``-t`` variants),
-    ``"random"`` (Monte-Carlo sampling), ``"local_degree"`` ([24]) or
-    ``"t_bundle"`` (edge-disjoint spanner layers, footnote 8 / [21]).
-    Returns a read-only int64 edge-id array.  Pass ``plan`` (a
-    :class:`BackbonePlan` for ``graph``) to share the Kruskal peel work
-    — and, for int seeds, the backbones themselves — across calls.
-    """
-    if plan is not None:
-        if plan.graph is not graph:
-            raise ValueError("backbone plan was built for a different graph")
-        return plan.backbone(alpha, method=method, rng=rng, **kwargs)
-    if method == "bgi":
-        return bgi_backbone(graph, alpha, rng=rng, **kwargs)
-    if method == "random":
-        return random_backbone(graph, alpha, rng=rng, **kwargs)
-    if method == "local_degree":
-        return local_degree_backbone(graph, alpha, **kwargs)
-    if method == "t_bundle":
-        from repro.core.tbundle import t_bundle_backbone
-
-        return _as_edge_ids(t_bundle_backbone(graph, alpha, rng=rng, **kwargs))
-    raise ValueError(f"unknown backbone method: {method!r}")
+    return build_backbone(graph, alpha, "local_degree", plan=plan)

@@ -27,7 +27,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.backbone import BackbonePlan
+from repro.core.backbone import BACKBONE_METHODS, BackbonePlan
 from repro.core.delta import EdgeDeltaBatch, apply_delta
 from repro.core.emd_sparsifier import EMD_MODES
 from repro.core.grid import gdb_grid, objective_rows
@@ -87,6 +87,28 @@ def _integer(params: dict, name: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ServerError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _ratio(value, name: str, *, closed: bool) -> float:
+    """Validate one JSON number in ``(0, 1)`` (``closed``: ``[0, 1]``).
+
+    ``float()`` would accept ``"0.3"`` and ``true``; strings, booleans,
+    NaN and out-of-range numbers are rejected before anything is queued.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+        if (0.0 <= number <= 1.0) if closed else (0.0 < number < 1.0):
+            return number
+    interval = "[0, 1]" if closed else "(0, 1)"
+    raise ServerError(f"{name} must be a number in {interval}, got {value!r}")
+
+
+def _ratios(params: dict, name: str, default: list, *, closed: bool) -> list:
+    """Pop a non-empty JSON list of :func:`_ratio` values."""
+    values = params.pop(name, default)
+    if not isinstance(values, list) or not values:
+        raise ServerError(f"{name} must be a non-empty list, got {values!r}")
+    return [_ratio(v, f"{name} entry", closed=closed) for v in values]
 
 
 def _normalise_backend(params: dict) -> str:
@@ -236,10 +258,11 @@ class SparsifierService:
 
         Every field is defaulted and type-checked here so two requests
         meaning the same computation produce identical keys: integer
-        fields (``seed``, ``samples``, ``pairs``) accept only JSON
-        integers, and a variant-specific knob (``lp_solver`` for LP,
-        ``emd_mode`` for EMD) is validated on every request but keyed
-        only for the variants it changes.
+        fields (``seed``, ``samples``, ``pairs``, ``priority``, ``k``)
+        accept only JSON integers, ratios (``alpha``, ``h`` and the grid
+        lists) only JSON numbers in range, and a variant-specific knob
+        (``lp_solver`` for LP, ``emd_mode`` for EMD) is validated on
+        every request but keyed only for the variants it changes.
         """
         if not isinstance(params, dict):
             raise ServerError("request body must be a JSON object")
@@ -247,20 +270,21 @@ class SparsifierService:
         if not dataset or not isinstance(dataset, str):
             raise ServerError("request needs a 'dataset' path")
         digest = self._digest(dataset)
-        priority = params.pop("priority", DEFAULT_PRIORITIES[endpoint])
         norm: dict = {
             "dataset": dataset,
             "digest": digest,
             "seed": _integer(params, "seed", 0),
-            "priority": int(priority),
+            "priority": _integer(
+                params, "priority", DEFAULT_PRIORITIES[endpoint]
+            ),
         }
         if endpoint == "sparsify":
             if "alpha" not in params:
                 raise ServerError("sparsify needs an 'alpha' in (0, 1)")
             norm.update(
-                alpha=float(params.pop("alpha")),
+                alpha=_ratio(params.pop("alpha"), "alpha", closed=False),
                 variant=str(params.pop("variant", "EMD^R-t")),
-                h=float(params.pop("h", 0.05)),
+                h=_ratio(params.pop("h", 0.05), "h", closed=True),
                 backend=_normalise_backend(params),
             )
             spec = parse_variant(norm["variant"])  # fail fast on bad notation
@@ -275,8 +299,6 @@ class SparsifierService:
                     f"backend {norm['backend']!r} only applies to GDB "
                     f"variants, not {norm['variant']!r}"
                 )
-            if not 0.0 < norm["alpha"] < 1.0:
-                raise ServerError(f"alpha must be in (0, 1), got {norm['alpha']}")
         elif endpoint == "estimate":
             norm.update(
                 query=str(params.pop("query", "reliability")),
@@ -299,21 +321,27 @@ class SparsifierService:
             if norm["pairs"] < 1:
                 raise ServerError(f"pairs must be at least 1, got {norm['pairs']}")
         elif endpoint == "grid":
-            alphas = [float(a) for a in params.pop("alphas", [0.2, 0.4])]
-            h_values = [float(h) for h in params.pop("h_values", [0.05])]
-            if not alphas or not h_values:
-                raise ServerError("grid needs non-empty alphas and h_values")
+            alphas = _ratios(params, "alphas", [0.2, 0.4], closed=False)
+            h_values = _ratios(params, "h_values", [0.05], closed=True)
             if len(alphas) * len(h_values) > self.config.max_grid_cells:
                 raise ServerError(
                     f"grid larger than {self.config.max_grid_cells} cells"
                 )
-            k_raw = params.pop("k", 1)
+            k = params.pop("k", 1)
+            if k != "n" and (
+                isinstance(k, bool) or not isinstance(k, int) or k < 1
+            ):
+                raise ServerError(
+                    f"k must be an integer >= 1 or 'n', got {k!r}"
+                )
             norm.update(
                 alphas=alphas,
                 h_values=h_values,
-                k=k_raw if k_raw == "n" else int(k_raw),
+                k=k,
                 relative=_flag(params, "relative", False),
-                backbone_method=str(params.pop("backbone_method", "bgi")),
+                backbone_method=_choice(
+                    params, "backbone_method", BACKBONE_METHODS, "bgi"
+                ),
                 backend=_normalise_backend(params),
             )
         if params:

@@ -26,8 +26,36 @@ references are:
   ``adaptive_estimate`` and ``StratifiedEstimator.run`` as
   world-at-a-time ``Query.evaluate`` loops, consuming the RNG stream
   exactly as the production paths do.
+
+Production backbones run through :class:`repro.core.backbone.BackbonePlan`
+(one stable argsort, batched Kruskal peels, array top-up), NI samples
+over a memoised peel structure, and the edge-list parser converts
+chunks in bulk.  Their per-call references:
+
+- :func:`maximum_spanning_forest` — scalar Kruskal over a candidate set;
+- :func:`mc_top_up` — Algorithm 1's Monte-Carlo top-up on a list and a
+  ``set`` of edge ids;
+- :func:`bgi_backbone_legacy`, :func:`random_backbone_legacy` and
+  :func:`t_bundle_backbone_legacy` — the ``bgi``, ``random`` and
+  ``t_bundle`` backbones built from the two above;
+- :func:`ni_core` — Algorithm 4 re-peeling scalar forests per call, and
+  :func:`scalar_ni`, a context manager running ``ni_sparsify`` on it;
+- :func:`parse_edge_list_scalar` — the line-at-a-time text parser.
+
+Nothing under ``src/repro`` may import this package
+(``tests/test_package_api.py`` enforces it).
 """
 
+from .backbone import (
+    bgi_backbone_legacy,
+    maximum_spanning_forest,
+    mc_top_up,
+    ni_core,
+    random_backbone_legacy,
+    scalar_ni,
+    t_bundle_backbone_legacy,
+)
+from .io import parse_edge_list_scalar
 from .sampling import (
     BooleanBFSBatch,
     bfs_distances_boolean,
@@ -41,11 +69,19 @@ from .sparsifiers import e_phase, loop_refine, scalar_reference
 __all__ = [
     "BooleanBFSBatch",
     "bfs_distances_boolean",
+    "bgi_backbone_legacy",
     "e_phase",
     "loop_refine",
+    "maximum_spanning_forest",
+    "mc_top_up",
+    "ni_core",
+    "parse_edge_list_scalar",
     "per_world_adaptive",
     "per_world_outcomes",
     "per_world_repeated_estimates",
     "per_world_stratified",
+    "random_backbone_legacy",
+    "scalar_ni",
     "scalar_reference",
+    "t_bundle_backbone_legacy",
 ]

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import maximum_spanning_forest
 from repro.core import UncertainGraph
 from repro.core.backbone import (
+    BackbonePlan,
     bgi_backbone,
     build_backbone,
     local_degree_backbone,
-    maximum_spanning_forest,
     random_backbone,
     target_edge_count,
 )
@@ -43,41 +44,44 @@ class TestTargetEdgeCount:
             target_edge_count(0, 0.5)
 
 
+def spanning_forests(graph):
+    """The oracle Kruskal forest and the plan's first peel, checked equal."""
+    reference = maximum_spanning_forest(
+        graph.number_of_vertices(),
+        np.arange(graph.number_of_edges()),
+        graph.edge_index_array(),
+        np.array(graph.probability_array()),
+    )
+    peel = BackbonePlan(graph).forest(0)
+    assert np.array_equal(peel, reference)
+    return reference, peel
+
+
 class TestMaximumSpanningForest:
     def test_tree_on_connected_graph(self, small_power_law):
         n = small_power_law.number_of_vertices()
-        m = small_power_law.number_of_edges()
-        forest = maximum_spanning_forest(
-            n,
-            np.arange(m),
-            small_power_law.edge_index_array(),
-            np.array(small_power_law.probability_array()),
-        )
-        assert len(forest) == n - 1
+        for forest in spanning_forests(small_power_law):
+            assert len(forest) == n - 1
 
     def test_forest_is_acyclic_and_maximum(self):
         # Square with a heavy diagonal: max spanning tree must take it.
         g = UncertainGraph(
             [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (3, 0, 0.4), (0, 2, 0.9)]
         )
-        forest = maximum_spanning_forest(
-            4, np.arange(5), g.edge_index_array(), np.array(g.probability_array())
-        )
-        assert len(forest) == 3
-        edge_list = g.edge_list()
-        chosen = {frozenset(edge_list[e]) for e in forest}
-        assert frozenset((0, 2)) in chosen
-        uf = UnionFind(4)
-        for eid in forest:
-            u, v = g.edge_index_array()[eid]
-            assert uf.union(int(u), int(v))  # acyclic
+        for forest in spanning_forests(g):
+            assert len(forest) == 3
+            edge_list = g.edge_list()
+            chosen = {frozenset(edge_list[e]) for e in forest}
+            assert frozenset((0, 2)) in chosen
+            uf = UnionFind(4)
+            for eid in forest:
+                u, v = g.edge_index_array()[eid]
+                assert uf.union(int(u), int(v))  # acyclic
 
     def test_disconnected_graph_gives_forest(self):
         g = UncertainGraph([(0, 1, 0.5), (2, 3, 0.5)])
-        forest = maximum_spanning_forest(
-            4, np.arange(2), g.edge_index_array(), np.array(g.probability_array())
-        )
-        assert len(forest) == 2
+        for forest in spanning_forests(g):
+            assert len(forest) == 2
 
 
 class TestBGI:

@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    bgi_backbone_legacy,
+    mc_top_up,
+    random_backbone_legacy,
+    t_bundle_backbone_legacy,
+)
 from repro.core import GDBConfig, UncertainGraph, gdb, gdb_grid, sparsify
 from repro.core.backbone import (
     BackbonePlan,
+    _mc_top_up_array,
     bgi_backbone,
-    bgi_backbone_legacy,
     build_backbone,
     local_degree_backbone,
     random_backbone,
     target_edge_count,
 )
+from repro.core.tbundle import t_bundle_backbone
 from repro.core.emd_sparsifier import emd
 from repro.core.lp import lp_sparsify
 from repro.datasets import flickr_like, twitter_like
@@ -34,7 +41,7 @@ def plan(graph):
 
 
 class TestSeededEquivalence:
-    """Plan-based construction is bit-identical to the legacy builder."""
+    """Plan-based construction is bit-identical to the oracle builders."""
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("seed", [0, 7, 1234])
@@ -111,9 +118,12 @@ class TestSeededEquivalence:
 
     def test_random_and_local_degree_ride_the_plan(self, graph, plan):
         for alpha in (0.25, 0.6):
+            reference = random_backbone_legacy(graph, alpha, rng=11)
             assert np.array_equal(
-                plan.backbone(alpha, method="random", rng=11),
-                random_backbone(graph, alpha, rng=11),
+                plan.backbone(alpha, method="random", rng=11), reference
+            )
+            assert np.array_equal(
+                random_backbone(graph, alpha, rng=11), reference
             )
             assert np.array_equal(
                 plan.backbone(alpha, method="local_degree"),
@@ -125,12 +135,72 @@ class TestSeededEquivalence:
                                   plan=plan)
         direct = build_backbone(graph, 0.4, method="t_bundle", rng=5)
         assert np.array_equal(via_plan, direct)
+        assert np.array_equal(
+            direct, t_bundle_backbone_legacy(graph, 0.4, rng=5)
+        )
 
     def test_int_seed_backbones_memoised(self, graph, plan):
         a = plan.backbone(0.4, rng=8)
         b = plan.backbone(0.4, rng=8)
         assert a is b
         assert plan.backbone(0.4, rng=9) is not a
+
+
+class TestTopUpOracle:
+    """The array MC top-up and the t-bundle built on it vs the oracles."""
+
+    @pytest.mark.parametrize("max_passes", [10_000, 1])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_array_top_up_draw_for_draw(self, seed, max_passes):
+        gen = np.random.default_rng(seed)
+        m = int(gen.integers(5, 300))
+        probabilities = gen.uniform(0.01, 1.0, m)
+        # Ties exercise the deterministic fallback's id tie-break.
+        probabilities[gen.integers(0, m, m // 4)] = 0.5
+        chosen = gen.choice(m, int(gen.integers(0, m // 2)), replace=False)
+        target = int(gen.integers(len(chosen), m + 1))
+        # The oracle's set is built like its callers build it (full
+        # range, then removals), so it iterates in ascending id order.
+        ref_remaining = set(range(m))
+        ref_remaining.difference_update(chosen.tolist())
+        ref_chosen = chosen.tolist()
+        ref_rng = np.random.default_rng(1000 + seed)
+        mc_top_up(ref_chosen, ref_remaining, probabilities, target, ref_rng,
+                  max_passes=max_passes)
+
+        parts = [chosen.astype(np.int64)]
+        rng = np.random.default_rng(1000 + seed)
+        count = _mc_top_up_array(
+            parts, len(chosen), np.setdiff1d(np.arange(m), chosen),
+            probabilities, target, rng, max_passes=max_passes,
+        )
+        assert np.concatenate(parts).tolist() == ref_chosen
+        assert count == len(ref_chosen)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # Dense enough that spanner layers are a fraction of |E|: small
+        # alphas truncate the first layer, large ones stack layers.
+        return flickr_like(n=60, avg_degree=40, seed=8)
+
+    @pytest.mark.parametrize("alpha", [0.18, 0.7, 0.9])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_t_bundle_matches_oracle(self, dense, alpha, seed):
+        assert np.array_equal(
+            t_bundle_backbone(dense, alpha, rng=seed),
+            t_bundle_backbone_legacy(dense, alpha, rng=seed),
+        )
+
+    def test_t_bundle_generator_stream_matches_oracle(self, dense):
+        # stretch=4 at alpha 0.9 stacks three full layers.
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for alpha in (0.5, 0.9):
+            assert np.array_equal(
+                t_bundle_backbone(dense, alpha, rng=rng, stretch=4),
+                t_bundle_backbone_legacy(dense, alpha, rng=ref_rng, stretch=4),
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestNestedInvariants:
@@ -205,7 +275,6 @@ class TestNormalisedReturns:
     def test_builders_return_read_only_int64(self, graph, plan):
         results = [
             bgi_backbone(graph, 0.4, rng=0),
-            bgi_backbone_legacy(graph, 0.4, rng=0),
             random_backbone(graph, 0.4, rng=0),
             local_degree_backbone(graph, 0.4),
             build_backbone(graph, 0.4, method="t_bundle", rng=0),

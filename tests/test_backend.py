@@ -15,8 +15,8 @@ Three layers of assurance, all runnable on CPU-only CI:
 
 The instrumented backend (numpy-wrapping, call-recording, non-default
 creation dtypes) and an array-API adapter over the NumPy namespace run
-everywhere; ``array_api_strict`` / torch / CuPy parametrisations
-auto-skip when the library is not installed.
+everywhere; the ``array_api_strict`` parametrisations auto-skip when
+the library is not installed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.sampling.batch import (
     kernel_world_bytes,
 )
 
-_OPTIONAL = ("array_api_strict", "torch", "torch:cuda", "cupy")
+_OPTIONAL = ("array_api_strict",)
 
 
 def _backend_params():
@@ -60,7 +60,7 @@ def _backend_params():
         marks = ()
         if name not in avail:
             marks = (pytest.mark.skip(reason=f"backend {name!r} not installed"),)
-        params.append(pytest.param(name, id=name.replace(":", "_"), marks=marks))
+        params.append(pytest.param(name, id=name, marks=marks))
     return params
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_edge_list_scalar
 from repro.core import UncertainGraph
 from repro.datasets import (
     dataset_digest,
@@ -177,18 +178,19 @@ def test_format_edge_list_matches_file(tmp_path, small_sparse):
 
 
 class TestParseEngineParity:
-    """The chunked fast parser is pinned bit-identical to the scalar loop.
+    """The chunked parser is pinned bit-identical to the scalar oracle.
 
     Same graph (vertices, edges, insertion order, Python-float
     probabilities), same serialisation, and the same exception type /
-    message / line number on every malformed input — the fast path is
-    an implementation detail, never an observable change.
+    message / line number on every malformed input as the line-at-a-time
+    reference in ``tests/oracles`` — chunking is an implementation
+    detail, never an observable change.
     """
 
     @staticmethod
     def both(text):
-        return (parse_edge_list(text, source="f", engine="scalar"),
-                parse_edge_list(text, source="f", engine="fast"))
+        return (parse_edge_list_scalar(text, source="f"),
+                parse_edge_list(text, source="f"))
 
     def assert_identical(self, text):
         scalar, fast = self.both(text)
@@ -200,9 +202,9 @@ class TestParseEngineParity:
 
     def assert_same_error(self, text):
         errors = []
-        for engine in ("scalar", "fast"):
+        for parse in (parse_edge_list_scalar, parse_edge_list):
             with pytest.raises(Exception) as excinfo:
-                parse_edge_list(text, source="f", engine=engine)
+                parse(text, source="f")
             errors.append(excinfo.value)
         scalar_error, fast_error = errors
         assert type(scalar_error) is type(fast_error)
@@ -230,7 +232,7 @@ class TestParseEngineParity:
         assert list(scalar.edges()) == list(fast.edges())
 
     def test_large_input_identical(self):
-        # Big enough that the fast path runs multiple full chunks.
+        # Many routing decisions: bare vertices, comments, duplicates.
         import random
 
         rng = random.Random(11)
@@ -266,22 +268,8 @@ class TestParseEngineParity:
         self.assert_same_error(text)
 
     def test_error_parity_beyond_first_chunk(self):
-        from repro.datasets.io import _FAST_PARSE_CHUNK
+        from repro.datasets.io import _PARSE_CHUNK
 
-        prefix = "a b 0.5\n" * (_FAST_PARSE_CHUNK + 7)
+        prefix = "a b 0.5\n" * (_PARSE_CHUNK + 7)
         self.assert_same_error(prefix + "bad line with four tokens\n")
         self.assert_same_error(prefix + "c d not-a-number\n")
-
-    def test_auto_dispatch_threshold(self):
-        from repro.datasets.io import _FAST_PARSE_THRESHOLD
-
-        big = "\n".join(
-            f"u{i} w{i} 0.5" for i in range(_FAST_PARSE_THRESHOLD + 1)
-        )
-        auto = parse_edge_list(big)
-        assert list(auto.edges()) == \
-            list(parse_edge_list(big, engine="scalar").edges())
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            parse_edge_list("a b 0.5\n", engine="turbo")

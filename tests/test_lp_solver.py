@@ -6,8 +6,9 @@ Three equivalence contracts introduced by the solver-grade layer:
   tolerance and always returns a feasible point (Lemma 1 holds);
 - ``emd_mode="lazy"`` reaches the eager reference's converged objective
   (``D_1`` agreement, not bit-identity — heap tie-breaking differs);
-- ``peeler="plan"`` NI is bit-identical to the legacy scalar peeler and
-  memoises its peel structure on a shared :class:`BackbonePlan`.
+- NI on its memoised peel structure is bit-identical to the scalar
+  oracle core (``tests/oracles``) and memoises that structure on a
+  shared :class:`BackbonePlan`.
 """
 
 from contextlib import nullcontext
@@ -34,7 +35,7 @@ from repro.core.lp import (
 )
 from repro.datasets import erdos_renyi_uncertain, figure1_graph, flickr_like
 
-from oracles import scalar_reference
+from oracles import scalar_ni, scalar_reference
 
 #: The pdp default relative duality-gap tolerance (see repro.core.lp).
 PDP_TOL = 1e-3
@@ -277,13 +278,14 @@ def test_unknown_emd_mode_rejected(small_power_law):
 
 
 # ----------------------------------------------------------------------
-# NI on peels: bit-identity with the legacy peeler + plan memoisation
+# NI on peels: bit-identity with the scalar oracle + plan memoisation
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("alpha", [0.25, 0.5])
 @pytest.mark.parametrize("seed", [1, 42])
 def test_ni_plan_bit_identical_to_legacy(small_power_law, alpha, seed):
-    legacy = ni_sparsify(small_power_law, alpha, rng=seed, peeler="legacy")
-    planned = ni_sparsify(small_power_law, alpha, rng=seed, peeler="plan")
+    with scalar_ni():
+        legacy = ni_sparsify(small_power_law, alpha, rng=seed)
+    planned = ni_sparsify(small_power_law, alpha, rng=seed)
     assert sorted(planned.edges()) == sorted(legacy.edges())
 
 
@@ -309,9 +311,7 @@ def test_ni_plan_seed_stream_matches_planless(small_power_law):
     assert sorted(with_plan.edges()) == sorted(without.edges())
 
 
-def test_ni_rejects_bad_peeler_and_foreign_plan(small_power_law, small_sparse):
-    with pytest.raises(ValueError, match="unknown peeler"):
-        ni_sparsify(small_power_law, 0.4, rng=0, peeler="recursive")
+def test_ni_rejects_foreign_plan(small_power_law, small_sparse):
     with pytest.raises(ValueError, match="different graph"):
         ni_sparsify(
             small_power_law, 0.4, rng=0,

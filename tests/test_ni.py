@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ni import integer_weights, ni_core, ni_sparsify
+from oracles import ni_core
+from repro.baselines.ni import (
+    integer_weights,
+    ni_core_planned,
+    ni_peel_structure,
+    ni_sparsify,
+)
 from repro.core import UncertainGraph
 from repro.core.backbone import target_edge_count
 
@@ -36,40 +42,38 @@ class TestIntegerWeights:
         assert weights.min() >= 1
 
 
+def both_cores(graph, epsilon, seed=0):
+    """Kept edges from the oracle core and the planned core, checked equal."""
+    n = graph.number_of_vertices()
+    edge_vertices = graph.edge_index_array()
+    weights, _ = integer_weights(np.array(graph.probability_array()))
+    reference = ni_core(
+        n, edge_vertices, weights, epsilon, np.random.default_rng(seed)
+    )
+    planned = ni_core_planned(
+        n, weights, ni_peel_structure(n, edge_vertices, weights), epsilon,
+        np.random.default_rng(seed),
+    )
+    assert list(planned.items()) == list(reference.items())
+    return weights, (reference, planned)
+
+
 class TestNICore:
     def test_small_epsilon_keeps_everything(self, small_power_law):
-        weights, _ = integer_weights(np.array(small_power_law.probability_array()))
-        kept = ni_core(
-            small_power_law.number_of_vertices(),
-            small_power_law.edge_index_array(),
-            weights,
-            epsilon=1e-6,
-            rng=np.random.default_rng(0),
-        )
-        assert len(kept) == small_power_law.number_of_edges()
+        _, cores = both_cores(small_power_law, epsilon=1e-6)
+        for kept in cores:
+            assert len(kept) == small_power_law.number_of_edges()
 
     def test_large_epsilon_keeps_little(self, small_power_law):
-        weights, _ = integer_weights(np.array(small_power_law.probability_array()))
-        kept = ni_core(
-            small_power_law.number_of_vertices(),
-            small_power_law.edge_index_array(),
-            weights,
-            epsilon=100.0,
-            rng=np.random.default_rng(0),
-        )
-        assert len(kept) < small_power_law.number_of_edges() / 2
+        _, cores = both_cores(small_power_law, epsilon=100.0)
+        for kept in cores:
+            assert len(kept) < small_power_law.number_of_edges() / 2
 
     def test_sampled_weights_are_upscaled(self, small_power_law):
-        weights, _ = integer_weights(np.array(small_power_law.probability_array()))
-        kept = ni_core(
-            small_power_law.number_of_vertices(),
-            small_power_law.edge_index_array(),
-            weights,
-            epsilon=3.0,
-            rng=np.random.default_rng(0),
-        )
-        for eid, w in kept.items():
-            assert w >= weights[eid]  # 1/l_e >= 1
+        weights, cores = both_cores(small_power_law, epsilon=3.0)
+        for kept in cores:
+            for eid, w in kept.items():
+                assert w >= weights[eid]  # 1/l_e >= 1
 
 
 class TestNISparsify:

@@ -73,3 +73,27 @@ def test_quickstart_docstring_example_runs():
     g = datasets.twitter_like(n=200, seed=1)
     g_sparse = sparsify(g, alpha=0.3, variant="EMD^R-t", rng=1)
     assert degree_discrepancy_mae(g, g_sparse) < 0.5
+
+
+def test_package_never_imports_the_test_oracles():
+    """References live in ``tests/oracles``; production code must not
+    reach for them (they are not installed with the package)."""
+    import ast
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("tests", "oracles"):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert len(list(root.rglob("*.py"))) > 50  # the walk saw the package
+    assert not offenders, offenders

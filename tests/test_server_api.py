@@ -347,6 +347,20 @@ class TestHTTPSurface:
             ("/estimate", {**estimate, "seed": 1.5}),
             ("/estimate", {**estimate, "pairs": "3"}),
             ("/estimate", {**estimate, "pairs": 0}),
+            # Grid and sparsify fields: float() / int() / str() would
+            # coerce or defer each of these to the job.
+            ("/grid", {"dataset": dataset, "backbone_method": "nope"}),
+            ("/grid", {"dataset": dataset, "alphas": [1.5]}),
+            ("/grid", {"dataset": dataset, "alphas": ["0.3"]}),
+            ("/grid", {"dataset": dataset, "alphas": 0.3}),
+            ("/grid", {"dataset": dataset, "h_values": [7]}),
+            ("/grid", {"dataset": dataset, "k": 2.9}),
+            ("/grid", {"dataset": dataset, "k": True}),
+            ("/grid", {"dataset": dataset, "k": 0}),
+            ("/sparsify", {**base, "variant": "GDB^A", "h": 7}),
+            ("/sparsify", {**base, "variant": "LP", "h": 7}),
+            ("/sparsify", {**base, "alpha": "0.4"}),
+            ("/sparsify", {**base, "priority": 2.7}),
         ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._post(server, path, document)
